@@ -19,21 +19,13 @@ exact on raw inputs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ArgumentError, ContractError, DegenerateMatrixError, NumericalDegeneracyError
-from .kernels import RAW, UNIT_TRACE, GramMatrix, hadamard_joint, normalize_trace
-from .psd_linalg import (
-    SupportReport,
-    clamp_threshold,
-    matrix_log,
-    matrix_power,
-    support_included,
-    sym_eig,
-    trace_product,
-)
+from .kernels import RAW, UNIT_TRACE, GramMatrix, hadamard_joint
+from .psd_linalg import SupportReport, _support_report, sym_eig
 
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
 ALPHA_UNIT_GAP = 1e-6
@@ -109,29 +101,77 @@ def _check_trace_contract(K, name, raw):
         raise ContractError(f"{name} is flagged unit-trace but has trace {K.trace():.6g}")
 
 
+def _positive_trace(K1):
+    tr = K1.trace()
+    if not (tr > 0):
+        raise DegenerateMatrixError(f"first argument has nonpositive trace {tr:.6g}")
+    return tr
+
+
 def _log_trace_term(K1, raw):
     # log tr(K1) of the definition; identically zero under the unit-trace
     # contract, so it is skipped there rather than computed as log(1 + eps).
     if not raw and K1.normalization == UNIT_TRACE:
         return 0.0
-    tr = K1.trace()
-    if not (tr > 0):
-        raise DegenerateMatrixError(f"first argument has nonpositive trace {tr:.6g}")
-    return math.log(tr)
+    return math.log(_positive_trace(K1))
 
 
-def _clamped_power_sum(values, p):
-    """Sum of lambda^p over the numerical support of a symmetric matrix."""
-    w = sym_eig(values).eigenvalues
-    tau = clamp_threshold(w)
-    kept = w[w > tau]
-    clamped = int(w.shape[0] - kept.shape[0])
-    return float(np.sum(kept**p)), clamped
+def _decompose_pair(K1, K2):
+    """Spectra of K1 and K2 plus the overlap O = U1^T U2 of their eigenbases.
+
+    The eigenvectors are released once O is formed: every bipartite trace
+    below is a function of the two spectra and O alone.
+    """
+    e1 = sym_eig(K1)
+    e2 = sym_eig(K2)
+    if e1.eigenvalues.shape != e2.eigenvalues.shape:
+        raise ArgumentError(
+            f"size mismatch: {e1.eigenvalues.shape[0]} vs {e2.eigenvalues.shape[0]}"
+        )
+    overlap = e1.eigenvectors.T @ e2.eigenvectors
+    return replace(e1, eigenvectors=None), replace(e2, eigenvectors=None), overlap
 
 
-def _infinite(alpha, support, clamp_count=0):
+def _nonmirrored_trace(e1, e2, overlap, a):
+    """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports."""
+    p1 = e1.on_support(lambda w: np.power(w, a))
+    p2 = e2.on_support(lambda w: np.power(w, 1.0 - a))
+    return float(p1 @ (overlap * overlap) @ p2)
+
+
+def _sandwich_power_sum(e1, e2, overlap, outer_power, inner_power, trace_power):
+    """tr(M^trace_power) for M = K2^outer_power K1^inner_power K2^outer_power.
+
+    In K2's eigenbasis M = B^T B with B = diag(lambda^(inner/2)) O
+    diag(mu^outer), powers taken on the supports. Returns the power sum and
+    the number of M's eigenvalues clamped.
+    """
+    B = e1.on_support(lambda w: np.power(w, inner_power / 2.0))[:, None] * overlap
+    B *= e2.on_support(lambda w: np.power(w, outer_power))
+    eig = sym_eig(B.T @ B, vectors=False)
+    return eig.power_sum(trace_power), eig.clamp_count
+
+
+def _bipartite_value(K1, K2, alpha, raw, name, trace):
+    """(a-1)^-1 [log t - log tr(K1)], or +inf when supp K1 is not inside supp K2.
+
+    ``trace`` maps the pair's spectra and overlap to t and the number of
+    eigenvalues clamped in any further spectrum it decomposed.
+    """
+    e1, e2, overlap = _decompose_pair(K1, K2)
+    support = _support_report(e1, e2, overlap)
+    if not support.included:
+        return CrossEntropyResult(value=math.inf, alpha=alpha.value, support=support)
+    t, clamped = trace(e1, e2, overlap)
+    clamp_count = e1.clamp_count + e2.clamp_count + clamped
+    if not (t > 0):
+        raise NumericalDegeneracyError(
+            f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
+        )
+    a = alpha.value
+    value = (math.log(t) - _log_trace_term(K1, raw)) / (a - 1.0)
     return CrossEntropyResult(
-        value=math.inf, alpha=alpha.value, support=support, clamp_count=clamp_count
+        value=value, alpha=a, support=support, clamp_count=clamp_count
     )
 
 
@@ -140,53 +180,10 @@ def nonmirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     alpha = _as_alpha(alpha)
     _check_trace_contract(K1, "K1", raw)
     _check_trace_contract(K2, "K2", raw)
-    support = support_included(K1, K2)
-    if not support.included:
-        return _infinite(alpha, support)
     a = alpha.value
-    p1 = matrix_power(K1, a)
-    p2 = matrix_power(K2, 1.0 - a)
-    clamp_count = p1.clamp_count + p2.clamp_count
-    t = trace_product(p1.values, p2.values)
-    if not (t > 0):
-        raise NumericalDegeneracyError(
-            "nonmirrored trace collapsed", trace_value=t, clamp_count=clamp_count
-        )
-    value = (math.log(t) - _log_trace_term(K1, raw)) / (a - 1.0)
-    return CrossEntropyResult(
-        value=value, alpha=a, support=support, clamp_count=clamp_count
-    )
-
-
-def _sandwich_value(K1, K2, alpha, outer_power, inner_power, trace_power, raw):
-    """Shared core of the mirrored estimators.
-
-    Builds M = K2^outer_power @ K1^inner_power @ K2^outer_power (symmetrized),
-    then returns (a-1)^-1 [log tr(M^trace_power) - log tr(K1)].
-    """
-    support = support_included(K1, K2)
-    if not support.included:
-        return _infinite(alpha, support)
-    half = matrix_power(K2, outer_power)
-    clamp_count = half.clamp_count
-    if inner_power == 1.0:
-        core = K1.values
-    else:
-        inner = matrix_power(K1, inner_power)
-        clamp_count += inner.clamp_count
-        core = inner.values
-    M = half.values @ core @ half.values
-    M = 0.5 * (M + M.T)
-    s, clamped = _clamped_power_sum(M, trace_power)
-    clamp_count += clamped
-    if not (s > 0):
-        raise NumericalDegeneracyError(
-            "mirrored trace collapsed", trace_value=s, clamp_count=clamp_count
-        )
-    a = alpha.value
-    value = (math.log(s) - _log_trace_term(K1, raw)) / (a - 1.0)
-    return CrossEntropyResult(
-        value=value, alpha=a, support=support, clamp_count=clamp_count
+    return _bipartite_value(
+        K1, K2, alpha, raw, "nonmirrored",
+        lambda *pair: (_nonmirrored_trace(*pair, a), 0),
     )
 
 
@@ -196,7 +193,10 @@ def mirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     _check_trace_contract(K1, "K1", raw)
     _check_trace_contract(K2, "K2", raw)
     a = alpha.value
-    return _sandwich_value(K1, K2, alpha, (1.0 - a) / (2.0 * a), 1.0, a, raw)
+    return _bipartite_value(
+        K1, K2, alpha, raw, "mirrored",
+        lambda *pair: _sandwich_power_sum(*pair, (1.0 - a) / (2.0 * a), 1.0, a),
+    )
 
 
 def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
@@ -214,8 +214,9 @@ def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
     _check_trace_contract(K1, "K1", raw)
     _check_trace_contract(K2, "K2", raw)
     a = alpha.value
-    return _sandwich_value(
-        K1, K2, alpha, (1.0 - a) / (2.0 * beta), a / beta, beta, raw
+    return _bipartite_value(
+        K1, K2, alpha, raw, "mirrored",
+        lambda *pair: _sandwich_power_sum(*pair, (1.0 - a) / (2.0 * beta), a / beta, beta),
     )
 
 
@@ -228,24 +229,26 @@ def mirrored_limit_umegaki(K1, K2, *, raw=False):
     """
     _check_trace_contract(K1, "K1", raw)
     _check_trace_contract(K2, "K2", raw)
-    support = support_included(K1, K2)
-    reverse = support_included(K2, K1)
+    e1, e2, overlap = _decompose_pair(K1, K2)
+    support = _support_report(e1, e2, overlap)
+    reverse = _support_report(e2, e1, overlap.T)
     if not support.included:
         return CrossEntropyResult(
             value=math.inf, alpha=1.0, support=support, support_reverse=reverse
         )
-    l1 = matrix_log(K1)
-    l2 = matrix_log(K2)
-    clamp_count = l1.clamp_count + l2.clamp_count
-    tr1 = K1.trace()
-    if not (tr1 > 0):
-        raise DegenerateMatrixError(f"first argument has nonpositive trace {tr1:.6g}")
-    value = trace_product(K1.values, l1.values - l2.values) / tr1
+    # included with a rank-0 K2 forces a rank-0 K1, so one check covers both logs
+    if e1.rank == 0:
+        raise DegenerateMatrixError("matrix_log: matrix has numerical rank 0")
+    tr1 = _positive_trace(K1)
+    # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
+    log1 = e1.on_support(np.log)
+    log2 = e2.on_support(np.log)
+    value = float(e1.eigenvalues @ (log1 - (overlap * overlap) @ log2)) / tr1
     return CrossEntropyResult(
         value=value,
         alpha=1.0,
         support=support,
-        clamp_count=clamp_count,
+        clamp_count=e1.clamp_count + e2.clamp_count,
         support_reverse=reverse,
     )
 
@@ -273,9 +276,12 @@ def tripartite_cross_entropy(K1, K12, K2, alpha):
         raise ArgumentError(
             f"cross Gram shape {K12.values.shape} inconsistent with ({n}, {m})"
         )
-    support = None
     if n == m:
-        support = support_included(K2, K1)
+        e2, e1, overlap = _decompose_pair(K2, K1)
+        support = _support_report(e2, e1, overlap)
+    else:
+        e1 = sym_eig(K1, vectors=False)
+        support = None
     cip = float(K1.values.mean()) + float(K2.values.mean()) - 2.0 * float(K12.values.mean())
     a = alpha.value
     if cip < ZERO_CIP_FLOOR:
@@ -286,14 +292,16 @@ def tripartite_cross_entropy(K1, K12, K2, alpha):
             support=support,
             degenerate=DEGENERATE_ZERO_CIP,
         )
-    s, clamped = _clamped_power_sum(normalize_trace(K1).values, a)
+    tr1 = _positive_trace(K1)
+    # the spectrum of nt(K1) is K1's divided by its trace
+    s = float(np.sum((e1.eigenvalues[e1.support] / tr1) ** a))
     entropy_term = math.log(s) / (a - 1.0)
     value = math.log(cip) / (a - 1.0) + entropy_term
     return CrossEntropyResult(
         value=value,
         alpha=a,
         support=support,
-        clamp_count=clamped,
+        clamp_count=e1.clamp_count,
         entropy_term=entropy_term,
     )
 
@@ -306,7 +314,7 @@ def matrix_renyi_entropy(K, alpha):
     """
     alpha = _as_alpha(alpha)
     _check_trace_contract(K, "K", raw=False)
-    s, _ = _clamped_power_sum(K.values, alpha.value)
+    s = sym_eig(K, vectors=False).power_sum(alpha.value)
     if not (s > 0):
         raise DegenerateMatrixError("entropy of a rank-0 matrix")
     return math.log(s) / (1.0 - alpha.value)
@@ -328,12 +336,10 @@ def mutual_information(K1, K2, alpha):
 
 
 def _min_supported_eigenvalue(values, name):
-    w = sym_eig(values).eigenvalues
-    tau = clamp_threshold(w)
-    kept = w[w > tau]
-    if kept.size == 0:
+    eig = sym_eig(values, vectors=False)
+    if eig.rank == 0:
         raise DegenerateMatrixError(f"{name} has numerical rank 0")
-    return float(kept[-1]), float(w[0])
+    return float(eig.eigenvalues[eig.rank - 1]), float(eig.eigenvalues[0])
 
 
 def trace_distance_bounds(K1, K2):

@@ -251,13 +251,20 @@ def _bandwidth(config):
     return config.kernel.bandwidth if config.kernel is not None else 1.0
 
 
-def _bipartite_values(spec, X, Y, alpha):
-    K1 = normalize_trace(gram_univariate(spec, X))
-    K2 = normalize_trace(gram_univariate(spec, Y))
-    return (
-        nonmirrored_cross_entropy(K1, K2, alpha).value,
-        mirrored_cross_entropy(K1, K2, alpha).value,
-    )
+def _bipartite_rows(experiment, family, K1, K2, parameter, d, r, alpha_grid):
+    """Nonmirrored and mirrored rows of one Gram pair over every order."""
+    n = K1.n
+    return [
+        ResultRow(
+            experiment, family, float(a), float(parameter),
+            measure, estimator(K1, K2, a).value, n, n, d, r,
+        )
+        for a in alpha_grid
+        for measure, estimator in (
+            (MEASURE_NONMIRRORED, nonmirrored_cross_entropy),
+            (MEASURE_MIRRORED, mirrored_cross_entropy),
+        )
+    ]
 
 
 def run_convergence(config):
@@ -282,18 +289,12 @@ def run_convergence(config):
                     _child_seed(config.seed, r, di, ni, 1), n, d,
                     scale=config.sample_scale,
                 )
-                for a in config.alpha_grid:
-                    non, mir = _bipartite_values(spec, X, Y, a)
-                    for measure, value in (
-                        (MEASURE_NONMIRRORED, non),
-                        (MEASURE_MIRRORED, mir),
-                    ):
-                        rows.append(
-                            ResultRow(
-                                "convergence", spec.family, float(a), float(n),
-                                measure, value, n, n, d, r,
-                            )
-                        )
+                rows += _bipartite_rows(
+                    "convergence", spec.family,
+                    normalize_trace(gram_univariate(spec, X)),
+                    normalize_trace(gram_univariate(spec, Y)),
+                    n, d, r, config.alpha_grid,
+                )
     return sorted(rows, key=ResultRow.key)
 
 
@@ -311,20 +312,14 @@ def _sweep_rows(config, sweep_name, grid, blue_builder):
             blue_base = np.random.default_rng(
                 _child_seed(config.seed, r, 1)
             ).standard_normal((n, d))
+            K_red = normalize_trace(gram_univariate(spec, red))
             for p in grid:
                 blue = SampleSet(blue_builder(blue_base, float(p), config))
-                for a in config.alpha_grid:
-                    non, mir = _bipartite_values(spec, red, blue, a)
-                    for measure, value in (
-                        (MEASURE_NONMIRRORED, non),
-                        (MEASURE_MIRRORED, mir),
-                    ):
-                        rows.append(
-                            ResultRow(
-                                sweep_name, family, float(a), float(p),
-                                measure, value, n, n, d, r,
-                            )
-                        )
+                rows += _bipartite_rows(
+                    sweep_name, family, K_red,
+                    normalize_trace(gram_univariate(spec, blue)),
+                    p, d, r, config.alpha_grid,
+                )
     return sorted(rows, key=ResultRow.key)
 
 

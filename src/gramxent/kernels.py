@@ -8,8 +8,7 @@ Two kernel families are supported:
   evaluations are guarded against exp() overflow.
 
 Gram matrices carry their normalization state (raw vs unit-trace) so the
-estimators can enforce their trace contract, plus a count of eigenvalues
-clamped by downstream conditioning.
+estimators can enforce their trace contract.
 """
 
 from dataclasses import dataclass
@@ -29,12 +28,7 @@ OVERFLOW_LIMIT = 700.0
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family selector plus bandwidth.
-
-    Capability flags are derived from the family: the gaussian kernel is
-    translation invariant, radial and normalized; the exponential
-    inner-product kernel is none of these.
-    """
+    """Kernel family selector plus bandwidth."""
 
     family: str = GAUSSIAN
     bandwidth: float = 1.0
@@ -46,19 +40,6 @@ class KernelSpec:
             )
         if not (self.bandwidth > 0):
             raise ArgumentError(f"bandwidth must be positive, got {self.bandwidth}")
-
-    @property
-    def translation_invariant(self):
-        return self.family == GAUSSIAN
-
-    @property
-    def radial(self):
-        return self.family == GAUSSIAN
-
-    @property
-    def normalized(self):
-        """True when the kernel evaluates to 1 on identical inputs."""
-        return self.family == GAUSSIAN
 
 
 @dataclass(frozen=True)
@@ -94,15 +75,12 @@ UNIT_TRACE = "unit-trace"
 class GramMatrix:
     """Symmetric nonnegative kernel matrix with normalization state.
 
-    ``clamp_count`` records how many eigenvalues were clamped while
-    conditioning this matrix (0 if it never went through a spectral
-    function). Builders guarantee bit-exact symmetry by computing the upper
-    triangle once and mirroring it.
+    Builders guarantee bit-exact symmetry by computing the upper triangle
+    once and mirroring it.
     """
 
     values: np.ndarray
     normalization: str = RAW
-    clamp_count: int = 0
 
     @property
     def n(self):
@@ -156,25 +134,28 @@ def _mirror_upper(K):
     return K
 
 
+def _kernel_block(spec, A, B):
+    """Kernel values between the rows of A (n x d) and B (m x d), n x m."""
+    if spec.family == GAUSSIAN:
+        D = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+        np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
+        return np.exp(-spec.bandwidth * D)
+    E = spec.bandwidth * (A @ B.T)
+    if np.max(E) > OVERFLOW_LIMIT:
+        i, j = np.unravel_index(int(np.argmax(E)), E.shape)
+        raise KernelOverflowError(i, j, E[i, j])
+    return np.exp(E)
+
+
 def gram_univariate(spec, X):
     """Build the n x n Gram matrix of all pairwise kernel evaluations.
 
     Vectorized; entry (i, j) agrees with eval_kernel(spec, x_i, x_j) to
     rounding. The result is raw (not trace normalized).
     """
-    data = X.data
+    K = _kernel_block(spec, X.data, X.data)
     if spec.family == GAUSSIAN:
-        sq = np.sum(data * data, axis=1)
-        D = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
-        np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
-        np.fill_diagonal(D, 0.0)
-        K = np.exp(-spec.bandwidth * D)
-    else:
-        E = spec.bandwidth * (data @ data.T)
-        if np.max(E) > OVERFLOW_LIMIT:
-            i, j = np.unravel_index(int(np.argmax(E)), E.shape)
-            raise KernelOverflowError(i, j, E[i, j])
-        K = np.exp(E)
+        np.fill_diagonal(K, 1.0)  # exp(-sigma * 0) exactly
     return GramMatrix(_mirror_upper(K), normalization=RAW)
 
 
@@ -186,19 +167,7 @@ def gram_cross(spec, X, Y):
         # definition coincides with the square Gram; make the values coincide
         # exactly too (same diagonal and mirrored-triangle rounding)
         return CrossGram(gram_univariate(spec, X).values)
-    if spec.family == GAUSSIAN:
-        sqx = np.sum(X.data * X.data, axis=1)
-        sqy = np.sum(Y.data * Y.data, axis=1)
-        D = sqx[:, None] + sqy[None, :] - 2.0 * (X.data @ Y.data.T)
-        np.maximum(D, 0.0, out=D)
-        K = np.exp(-spec.bandwidth * D)
-    else:
-        E = spec.bandwidth * (X.data @ Y.data.T)
-        if np.max(E) > OVERFLOW_LIMIT:
-            i, j = np.unravel_index(int(np.argmax(E)), E.shape)
-            raise KernelOverflowError(i, j, E[i, j])
-        K = np.exp(E)
-    return CrossGram(K)
+    return CrossGram(_kernel_block(spec, X.data, Y.data))
 
 
 def normalize_trace(G):
@@ -212,7 +181,7 @@ def normalize_trace(G):
     tr = G.trace()
     if not (tr > 0):
         raise DegenerateMatrixError(f"cannot trace-normalize: trace = {tr:.6g}")
-    return GramMatrix(G.values / tr, normalization=UNIT_TRACE, clamp_count=G.clamp_count)
+    return GramMatrix(G.values / tr, normalization=UNIT_TRACE)
 
 
 def hadamard_joint(G1, G2):

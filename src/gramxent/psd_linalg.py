@@ -1,11 +1,18 @@
 """Spectral primitives for PSD matrices.
 
-Everything funnels through one symmetric eigendecomposition. Fractional
-powers and logarithms are evaluated on the spectrum with a relative clamp
-threshold tau = n * eps * lambda_max: eigenvalues at or below tau count as
+Everything funnels through one symmetric eigendecomposition, ``sym_eig``,
+the only caller of numpy's ``eigh`` / ``eigvalsh``. The decomposition
+carries its numerical support: eigenvalues above the relative clamp
+threshold tau = n * eps * lambda_max; eigenvalues at or below tau count as
 zero-rank directions. Off-support values follow the pseudo-inverse
 convention (f(lambda) = 0 for both positive and negative powers), which keeps
 all spectral functions support-restricted.
+
+The estimators decompose each Gram matrix once and work in the pair's
+eigenbases: traces, sandwiches and support tests are read off the two
+spectra and the overlap O = U1^T U2 of the eigenvectors. ``matrix_power``,
+``matrix_log`` and ``support_included`` are the same views in the standard
+basis and serve as the reference for those formulas.
 """
 
 from dataclasses import dataclass
@@ -24,14 +31,31 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectrum sorted descending plus the aligned orthonormal eigenvectors."""
+    """Spectrum sorted descending, the aligned orthonormal eigenvectors (None
+    when only eigenvalues were asked for) and the numerical support mask."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
+    support: np.ndarray
 
     @property
-    def n(self):
-        return self.eigenvalues.shape[0]
+    def rank(self):
+        return int(np.count_nonzero(self.support))
+
+    @property
+    def clamp_count(self):
+        """Eigenvalues at or below the clamp threshold."""
+        return self.eigenvalues.shape[0] - self.rank
+
+    def on_support(self, f):
+        """f(lambda) on the support and 0 off it, aligned with the eigenvalues."""
+        out = np.zeros_like(self.eigenvalues)
+        out[self.support] = f(self.eigenvalues[self.support])
+        return out
+
+    def power_sum(self, p):
+        """Sum of lambda^p over the support."""
+        return float(np.sum(self.eigenvalues[self.support] ** p))
 
 
 @dataclass(frozen=True)
@@ -61,11 +85,12 @@ def _as_array(G):
     return G.values if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
 
 
-def sym_eig(G):
+def sym_eig(G, vectors=True):
     """Symmetric eigendecomposition with eigenvalues sorted descending.
 
-    Negative eigenvalues are reported as-is (clamping happens in the spectral
-    functions, not here).
+    Negative eigenvalues are reported as-is; the support mask marks the
+    eigenvalues above clamp_threshold. ``vectors=False`` skips the
+    eigenvectors (``eigvalsh``).
     """
     A = _as_array(G)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -73,11 +98,17 @@ def sym_eig(G):
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     if scale > 0 and float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale * A.shape[0]:
         raise ArgumentError("matrix is not symmetric within tolerance")
+    V = None
     try:
-        w, V = np.linalg.eigh(A)
+        if vectors:
+            w, V = np.linalg.eigh(A)
+            V = V[:, ::-1].copy()
+        else:
+            w = np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise DegenerateMatrixError(f"eigendecomposition failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=V[:, ::-1].copy())
+    w = w[::-1].copy()
+    return EigenDecomposition(eigenvalues=w, eigenvectors=V, support=w > clamp_threshold(w))
 
 
 def clamp_threshold(eigenvalues):
@@ -93,19 +124,12 @@ def clamp_threshold(eigenvalues):
 
 def _spectral_apply(G, f, *, needs_rank=False, op_name=""):
     eig = sym_eig(G)
-    w = eig.eigenvalues
-    tau = clamp_threshold(w)
-    on_support = w > tau
-    rank = int(np.count_nonzero(on_support))
-    if needs_rank and rank == 0:
+    if needs_rank and eig.rank == 0:
         raise DegenerateMatrixError(f"{op_name}: matrix has numerical rank 0")
-    clamped = int(w.shape[0] - rank)
-    fw = np.zeros_like(w)
-    fw[on_support] = f(w[on_support])
     V = eig.eigenvectors
-    M = (V * fw) @ V.T
+    M = (V * eig.on_support(f)) @ V.T
     M = 0.5 * (M + M.T)  # kill rounding asymmetry from the two matmuls
-    return SpectralResult(values=M, clamp_count=clamped)
+    return SpectralResult(values=M, clamp_count=eig.clamp_count)
 
 
 def matrix_power(G, p):
@@ -133,6 +157,22 @@ def matrix_log(G):
     return _spectral_apply(G, np.log, needs_rank=True, op_name="matrix_log")
 
 
+def _support_report(e_in, e_out, overlap, tol=DEFAULT_SUPPORT_TOL):
+    """Support inclusion of ``e_in`` in ``e_out`` from their eigenbasis overlap.
+
+    overlap = U_in^T U_out, so its block (support of in, nullspace of out)
+    is the inner range expressed in the outer nullspace.
+    """
+    residual = float(np.linalg.norm(overlap[np.ix_(e_in.support, ~e_out.support)]))
+    return SupportReport(
+        rank_1=e_in.rank,
+        rank_2=e_out.rank,
+        included=bool(residual <= tol),
+        residual=residual,
+        tolerance=float(tol),
+    )
+
+
 def support_included(inner, outer, tol=DEFAULT_SUPPORT_TOL):
     """Test whether the support of ``inner`` lies inside the support of ``outer``.
 
@@ -148,19 +188,7 @@ def support_included(inner, outer, tol=DEFAULT_SUPPORT_TOL):
         raise ArgumentError(f"tolerance must be positive, got {tol}")
     eig_in = sym_eig(A)
     eig_out = sym_eig(B)
-    tau_in = clamp_threshold(eig_in.eigenvalues)
-    tau_out = clamp_threshold(eig_out.eigenvalues)
-    range_in = eig_in.eigenvectors[:, eig_in.eigenvalues > tau_in]
-    null_out = eig_out.eigenvectors[:, eig_out.eigenvalues <= tau_out]
-    # ||P0 U||_F with P0 = N N^T collapses to ||N^T U||_F since N is orthonormal.
-    residual = float(np.linalg.norm(null_out.T @ range_in))
-    return SupportReport(
-        rank_1=range_in.shape[1],
-        rank_2=int(B.shape[0] - null_out.shape[1]),
-        included=bool(residual <= tol),
-        residual=residual,
-        tolerance=float(tol),
-    )
+    return _support_report(eig_in, eig_out, eig_in.eigenvectors.T @ eig_out.eigenvectors, tol)
 
 
 def trace_product(A, B):

@@ -18,11 +18,15 @@ import numpy as np
 
 from .errors import ArgumentError
 from .estimators import (
+    _decompose_pair,
+    _nonmirrored_trace,
+    _sandwich_power_sum,
     mirrored_cross_entropy,
     mirrored_cross_entropy_two_param,
     nonmirrored_cross_entropy,
     tripartite_cross_entropy,
 )
+from .experiments import _child_seed
 from .kernels import (
     UNIT_TRACE,
     CrossGram,
@@ -33,7 +37,7 @@ from .kernels import (
     gram_univariate,
     normalize_trace,
 )
-from .psd_linalg import clamp_threshold, matrix_power, sym_eig, trace_product
+from .psd_linalg import sym_eig
 
 DEFAULT_SIZES = (4, 16, 64)
 DEFAULT_ALPHA_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 4.0)
@@ -82,7 +86,7 @@ def pinch(G, partition):
     for block in partition.blocks:
         idx = np.asarray(block, dtype=int)
         out[np.ix_(idx, idx)] = G.values[np.ix_(idx, idx)]
-    return GramMatrix(out, normalization=G.normalization, clamp_count=G.clamp_count)
+    return GramMatrix(out, normalization=G.normalization)
 
 
 def random_orthogonal(seed, n):
@@ -137,11 +141,6 @@ class _Tally:
         )
 
 
-def _child_seed(seed, *path):
-    ss = np.random.SeedSequence([int(seed)] + [int(p) for p in path])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _conjugate(Q, K):
     M = Q @ K.values @ Q.T
     M = 0.5 * (M + M.T)
@@ -152,23 +151,13 @@ def _scaled(G, rho):
     return GramMatrix(rho * G.values)
 
 
-def _power_trace(values, p):
-    w = sym_eig(values).eigenvalues
-    tau = clamp_threshold(w)
-    return float(np.sum(w[w > tau] ** p))
-
-
 def _functional_nonmirrored(A, B, a):
-    pa = matrix_power(A, a)
-    pb = matrix_power(B, 1.0 - a)
-    return trace_product(pa.values, pb.values)
+    return _nonmirrored_trace(*_decompose_pair(A, B), a)
 
 
 def _functional_mirrored(A, B, a):
-    half = matrix_power(B, (1.0 - a) / (2.0 * a))
-    M = half.values @ A @ half.values
-    M = 0.5 * (M + M.T)
-    return _power_trace(M, a)
+    s, _ = _sandwich_power_sum(*_decompose_pair(A, B), (1.0 - a) / (2.0 * a), 1.0, a)
+    return s
 
 
 def _mix(A, B):
@@ -203,7 +192,7 @@ def _draw_instance(seed, k, size_index, n, spec):
     grams_raw = [gram_univariate(spec, X) for X in xs]
     grams = [normalize_trace(g) for g in grams_raw]
     C12 = gram_cross(spec, xs[0], xs[1])
-    lam_min = float(np.linalg.eigvalsh(grams[0].values)[0])
+    lam_min = float(sym_eig(grams[0], vectors=False).eigenvalues[-1])
     return _Instance(
         n=n,
         K1=grams[0],
