@@ -8,6 +8,10 @@ Three core measures over kernel Gram matrices:
   with CIP = mean(K1) + mean(K2) - 2*mean(K12), the biased squared-MMD
   estimate, and nt = trace normalization.
 
+All bipartite measures are read off one decomposed pair (``_Pair``): a
+caller that needs several orders or both measures of the same two matrices
+builds the pair once instead of calling the public estimators per order.
+
 Bipartite measures return +inf when the support of K1 is not contained in
 the support of K2; this is exact for every order (negative powers of K2 only
 arise for a > 1, but the sentinel convention is uniform).
@@ -132,71 +136,106 @@ def _decompose_pair(K1, K2):
     return replace(e1, eigenvectors=None), replace(e2, eigenvectors=None), overlap
 
 
-def _nonmirrored_trace(e1, e2, overlap, a):
-    """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports."""
-    p1 = e1.on_support(lambda w: np.power(w, a))
-    p2 = e2.on_support(lambda w: np.power(w, 1.0 - a))
-    return float(p1 @ (overlap * overlap) @ p2)
+class _Pair:
+    """K1 and K2 decomposed once, with every bipartite measure read off them.
 
-
-def _sandwich_power_sum(e1, e2, overlap, outer_power, inner_power, trace_power):
-    """tr(M^trace_power) for M = K2^outer_power K1^inner_power K2^outer_power.
-
-    In K2's eigenbasis M = B^T B with B = diag(lambda^(inner/2)) O
-    diag(mu^outer), powers taken on the supports. Returns the power sum and
-    the number of M's eigenvalues clamped.
+    Construction checks the trace contract, decomposes each matrix once and
+    forms the overlap O = U1^T U2 and the gating support report (supp K1
+    inside supp K2). Every order of the nonmirrored measure and the Umegaki
+    limit then cost no further decomposition; a mirrored value decomposes
+    only its own sandwich.
     """
-    B = e1.on_support(lambda w: np.power(w, inner_power / 2.0))[:, None] * overlap
-    B *= e2.on_support(lambda w: np.power(w, outer_power))
-    eig = sym_eig(B.T @ B, vectors=False)
-    return eig.power_sum(trace_power), eig.clamp_count
 
+    def __init__(self, K1, K2, raw=False):
+        _check_trace_contract(K1, "K1", raw)
+        _check_trace_contract(K2, "K2", raw)
+        self.K1 = K1
+        self.raw = raw
+        self.e1, self.e2, self.overlap = _decompose_pair(K1, K2)
+        self.support = _support_report(self.e1, self.e2, self.overlap)
 
-def _bipartite_value(K1, K2, alpha, raw, name, trace):
-    """(a-1)^-1 [log t - log tr(K1)], or +inf when supp K1 is not inside supp K2.
+    def nonmirrored_trace(self, a):
+        """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports."""
+        p1 = self.e1.on_support(lambda w: np.power(w, a))
+        p2 = self.e2.on_support(lambda w: np.power(w, 1.0 - a))
+        return float(p1 @ (self.overlap * self.overlap) @ p2)
 
-    ``trace`` maps the pair's spectra and overlap to t and the number of
-    eigenvalues clamped in any further spectrum it decomposed.
-    """
-    e1, e2, overlap = _decompose_pair(K1, K2)
-    support = _support_report(e1, e2, overlap)
-    if not support.included:
-        return CrossEntropyResult(value=math.inf, alpha=alpha.value, support=support)
-    t, clamped = trace(e1, e2, overlap)
-    clamp_count = e1.clamp_count + e2.clamp_count + clamped
-    if not (t > 0):
-        raise NumericalDegeneracyError(
-            f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
+    def mirrored_trace(self, a, beta):
+        """tr(M^beta) for M = K2^((1-a)/2beta) K1^(a/beta) K2^((1-a)/2beta).
+
+        In K2's eigenbasis M = B^T B with B = diag(lambda^(a/2beta)) O
+        diag(mu^((1-a)/2beta)), powers taken on the supports. Returns the
+        power sum and the number of M's eigenvalues clamped.
+        """
+        outer, inner = (1.0 - a) / (2.0 * beta), a / beta
+        B = self.e1.on_support(lambda w: np.power(w, inner / 2.0))[:, None] * self.overlap
+        B *= self.e2.on_support(lambda w: np.power(w, outer))
+        eig = sym_eig(B.T @ B, vectors=False)
+        return eig.power_sum(beta), eig.clamp_count
+
+    def _result(self, alpha, name, t, clamped):
+        """(a-1)^-1 [log t - log tr(K1)] for the trace t of an included pair."""
+        clamp_count = self.e1.clamp_count + self.e2.clamp_count + clamped
+        if not (t > 0):
+            raise NumericalDegeneracyError(
+                f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
+            )
+        a = alpha.value
+        value = (math.log(t) - _log_trace_term(self.K1, self.raw)) / (a - 1.0)
+        return CrossEntropyResult(
+            value=value, alpha=a, support=self.support, clamp_count=clamp_count
         )
-    a = alpha.value
-    value = (math.log(t) - _log_trace_term(K1, raw)) / (a - 1.0)
-    return CrossEntropyResult(
-        value=value, alpha=a, support=support, clamp_count=clamp_count
-    )
+
+    def nonmirrored(self, alpha):
+        """The nonmirrored measure at ``alpha``; +inf when supp K1 is not inside supp K2."""
+        alpha = _as_alpha(alpha)
+        if not self.support.included:
+            return CrossEntropyResult(value=math.inf, alpha=alpha.value, support=self.support)
+        return self._result(alpha, "nonmirrored", self.nonmirrored_trace(alpha.value), 0)
+
+    def mirrored(self, alpha, beta):
+        """The two-parameter mirrored measure; beta = alpha is the one-parameter one."""
+        alpha = _as_alpha(alpha)
+        if not self.support.included:
+            return CrossEntropyResult(value=math.inf, alpha=alpha.value, support=self.support)
+        t, clamped = self.mirrored_trace(alpha.value, beta)
+        return self._result(alpha, "mirrored", t, clamped)
+
+    def umegaki(self):
+        """The order-1 limit tr(K1 (log K1 - log K2)) / tr(K1), both supports reported."""
+        reverse = _support_report(self.e2, self.e1, self.overlap.T)
+        if not self.support.included:
+            return CrossEntropyResult(
+                value=math.inf, alpha=1.0, support=self.support, support_reverse=reverse
+            )
+        # included with a rank-0 K2 forces a rank-0 K1, so one check covers both logs
+        if self.e1.rank == 0:
+            raise DegenerateMatrixError("matrix_log: matrix has numerical rank 0")
+        tr1 = _positive_trace(self.K1)
+        # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
+        log1 = self.e1.on_support(np.log)
+        log2 = self.e2.on_support(np.log)
+        cross = (self.overlap * self.overlap) @ log2
+        value = float(self.e1.eigenvalues @ (log1 - cross)) / tr1
+        return CrossEntropyResult(
+            value=value,
+            alpha=1.0,
+            support=self.support,
+            clamp_count=self.e1.clamp_count + self.e2.clamp_count,
+            support_reverse=reverse,
+        )
 
 
 def nonmirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     """Nonmirrored cross-entropy (a-1)^-1 [log tr(K1^a K2^(1-a)) - log tr(K1)]."""
     alpha = _as_alpha(alpha)
-    _check_trace_contract(K1, "K1", raw)
-    _check_trace_contract(K2, "K2", raw)
-    a = alpha.value
-    return _bipartite_value(
-        K1, K2, alpha, raw, "nonmirrored",
-        lambda *pair: (_nonmirrored_trace(*pair, a), 0),
-    )
+    return _Pair(K1, K2, raw).nonmirrored(alpha)
 
 
 def mirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     """Mirrored (sandwiched) cross-entropy via tr((K2^((1-a)/2a) K1 K2^((1-a)/2a))^a)."""
     alpha = _as_alpha(alpha)
-    _check_trace_contract(K1, "K1", raw)
-    _check_trace_contract(K2, "K2", raw)
-    a = alpha.value
-    return _bipartite_value(
-        K1, K2, alpha, raw, "mirrored",
-        lambda *pair: _sandwich_power_sum(*pair, (1.0 - a) / (2.0 * a), 1.0, a),
-    )
+    return _Pair(K1, K2, raw).mirrored(alpha, alpha.value)
 
 
 def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
@@ -211,13 +250,7 @@ def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
     beta = float(beta)
     if not (beta > 0) or not math.isfinite(beta):
         raise ArgumentError(f"beta must be a positive finite real, got {beta!r}")
-    _check_trace_contract(K1, "K1", raw)
-    _check_trace_contract(K2, "K2", raw)
-    a = alpha.value
-    return _bipartite_value(
-        K1, K2, alpha, raw, "mirrored",
-        lambda *pair: _sandwich_power_sum(*pair, (1.0 - a) / (2.0 * beta), a / beta, beta),
-    )
+    return _Pair(K1, K2, raw).mirrored(alpha, beta)
 
 
 def mirrored_limit_umegaki(K1, K2, *, raw=False):
@@ -227,30 +260,7 @@ def mirrored_limit_umegaki(K1, K2, *, raw=False):
     directions are reported (``support`` gates, ``support_reverse`` is
     informational).
     """
-    _check_trace_contract(K1, "K1", raw)
-    _check_trace_contract(K2, "K2", raw)
-    e1, e2, overlap = _decompose_pair(K1, K2)
-    support = _support_report(e1, e2, overlap)
-    reverse = _support_report(e2, e1, overlap.T)
-    if not support.included:
-        return CrossEntropyResult(
-            value=math.inf, alpha=1.0, support=support, support_reverse=reverse
-        )
-    # included with a rank-0 K2 forces a rank-0 K1, so one check covers both logs
-    if e1.rank == 0:
-        raise DegenerateMatrixError("matrix_log: matrix has numerical rank 0")
-    tr1 = _positive_trace(K1)
-    # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
-    log1 = e1.on_support(np.log)
-    log2 = e2.on_support(np.log)
-    value = float(e1.eigenvalues @ (log1 - (overlap * overlap) @ log2)) / tr1
-    return CrossEntropyResult(
-        value=value,
-        alpha=1.0,
-        support=support,
-        clamp_count=e1.clamp_count + e2.clamp_count,
-        support_reverse=reverse,
-    )
+    return _Pair(K1, K2, raw).umegaki()
 
 
 def tripartite_cross_entropy(K1, K12, K2, alpha):

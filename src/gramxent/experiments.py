@@ -36,11 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ParseError
-from .estimators import (
-    mirrored_cross_entropy,
-    nonmirrored_cross_entropy,
-    tripartite_cross_entropy,
-)
+from .estimators import _Pair, tripartite_cross_entropy
 from .kernels import (
     EXP_INNER_PRODUCT,
     FAMILIES,
@@ -252,17 +248,19 @@ def _bandwidth(config):
 
 
 def _bipartite_rows(experiment, family, K1, K2, parameter, d, r, alpha_grid):
-    """Nonmirrored and mirrored rows of one Gram pair over every order."""
+    """Nonmirrored and mirrored rows of one Gram pair over every order, all
+    read off one decomposition of the pair."""
     n = K1.n
+    pair = _Pair(K1, K2)
     return [
         ResultRow(
             experiment, family, float(a), float(parameter),
-            measure, estimator(K1, K2, a).value, n, n, d, r,
+            measure, value, n, n, d, r,
         )
         for a in alpha_grid
-        for measure, estimator in (
-            (MEASURE_NONMIRRORED, nonmirrored_cross_entropy),
-            (MEASURE_MIRRORED, mirrored_cross_entropy),
+        for measure, value in (
+            (MEASURE_NONMIRRORED, pair.nonmirrored(a).value),
+            (MEASURE_MIRRORED, pair.mirrored(a, a).value),
         )
     ]
 

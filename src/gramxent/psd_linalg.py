@@ -90,11 +90,14 @@ def sym_eig(G, vectors=True):
 
     Negative eigenvalues are reported as-is; the support mask marks the
     eigenvalues above clamp_threshold. ``vectors=False`` skips the
-    eigenvectors (``eigvalsh``).
+    eigenvectors (``eigvalsh``). Non-finite entries are rejected here, so no
+    spectral quantity is ever read off a NaN or inf matrix.
     """
     A = _as_array(G)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ArgumentError("matrix has non-finite entries")
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     if scale > 0 and float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale * A.shape[0]:
         raise ArgumentError("matrix is not symmetric within tolerance")
@@ -139,9 +142,6 @@ def matrix_power(G, p):
     convention). Returns (matrix, clamp_count).
     """
     p = float(p)
-    if p == 1.0:
-        A = _as_array(G)
-        return SpectralResult(values=A.copy(), clamp_count=0)
     return _spectral_apply(
         G, lambda w: np.power(w, p), needs_rank=(p < 0), op_name="matrix_power"
     )

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .estimators import (
-    _decompose_pair,
-    _nonmirrored_trace,
-    _sandwich_power_sum,
-    mirrored_cross_entropy,
-    mirrored_cross_entropy_two_param,
-    nonmirrored_cross_entropy,
-    tripartite_cross_entropy,
-)
+from .estimators import _Pair, tripartite_cross_entropy
 from .experiments import _child_seed
 from .kernels import (
     UNIT_TRACE,
@@ -37,7 +29,6 @@ from .kernels import (
     gram_univariate,
     normalize_trace,
 )
-from .psd_linalg import sym_eig
 
 DEFAULT_SIZES = (4, 16, 64)
 DEFAULT_ALPHA_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 4.0)
@@ -151,17 +142,13 @@ def _scaled(G, rho):
     return GramMatrix(rho * G.values)
 
 
-def _functional_nonmirrored(A, B, a):
-    return _nonmirrored_trace(*_decompose_pair(A, B), a)
-
-
-def _functional_mirrored(A, B, a):
-    s, _ = _sandwich_power_sum(*_decompose_pair(A, B), (1.0 - a) / (2.0 * a), 1.0, a)
-    return s
-
-
 def _mix(A, B):
-    return 0.5 * (A + B)
+    return GramMatrix(0.5 * (A.values + B.values))
+
+
+def _measures(pair, a):
+    """The nonmirrored and mirrored values of a decomposed pair at order a."""
+    return pair.nonmirrored(a).value, pair.mirrored(a, a).value
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,6 @@ class _Instance:
     G1_raw: GramMatrix
     G2_raw: GramMatrix
     C12: CrossGram
-    k1_lambda_min: float
 
 
 def _draw_instance(seed, k, size_index, n, spec):
@@ -192,7 +178,6 @@ def _draw_instance(seed, k, size_index, n, spec):
     grams_raw = [gram_univariate(spec, X) for X in xs]
     grams = [normalize_trace(g) for g in grams_raw]
     C12 = gram_cross(spec, xs[0], xs[1])
-    lam_min = float(sym_eig(grams[0], vectors=False).eigenvalues[-1])
     return _Instance(
         n=n,
         K1=grams[0],
@@ -202,7 +187,6 @@ def _draw_instance(seed, k, size_index, n, spec):
         G1_raw=grams_raw[0],
         G2_raw=grams_raw[1],
         C12=C12,
-        k1_lambda_min=lam_min,
     )
 
 
@@ -244,10 +228,11 @@ def run_property_suite(
         for si, n in enumerate(sizes):
             inst = _draw_instance(seed, k, si, n, spec)
             K1, K2 = inst.K1, inst.K2
-
-            # base values, reused by several checks below
-            c_non = {a: nonmirrored_cross_entropy(K1, K2, a).value for a in alphas}
-            c_mir = {a: mirrored_cross_entropy(K1, K2, a).value for a in alphas}
+            # one decomposed pair per compared matrix pair; the base values
+            # are reused by several checks below
+            base = _Pair(K1, K2)
+            c_non = {a: base.nonmirrored(a).value for a in alphas}
+            c_mir = {a: base.mirrored(a, a).value for a in alphas}
             c_tri = {
                 a: tripartite_cross_entropy(inst.G1_raw, inst.C12, inst.G2_raw, a).value
                 for a in alphas
@@ -260,37 +245,28 @@ def run_property_suite(
             cip_nonneg.add(max(0.0, -cip))
             cip_below_one = cip < 1.0
 
+            same = _Pair(K1, K1)
             for a in alphas:
-                nullity.add(abs(nonmirrored_cross_entropy(K1, K1, a).value))
-                nullity.add(abs(mirrored_cross_entropy(K1, K1, a).value))
+                for value in _measures(same, a):
+                    nullity.add(abs(value))
                 nonneg.add(max(0.0, -c_non[a]))
                 nonneg.add(max(0.0, -c_mir[a]))
 
             Q = random_orthogonal(_child_seed(seed, k, si, 100), n)
-            K1q = _conjugate(Q, K1)
-            K2q = _conjugate(Q, K2)
+            conj = _Pair(_conjugate(Q, K1), _conjugate(Q, K2))
             for a in alphas:
                 beta = max(a, 1.0 - a)
-                invariance.add(
-                    abs(nonmirrored_cross_entropy(K1q, K2q, a).value - c_non[a])
-                )
-                invariance.add(
-                    abs(mirrored_cross_entropy(K1q, K2q, a).value - c_mir[a])
-                )
-                base_tp = mirrored_cross_entropy_two_param(K1, K2, a, beta).value
-                conj_tp = mirrored_cross_entropy_two_param(K1q, K2q, a, beta).value
-                invariance.add(abs(conj_tp - base_tp))
+                invariance.add(abs(conj.nonmirrored(a).value - c_non[a]))
+                invariance.add(abs(conj.mirrored(a, a).value - c_mir[a]))
+                invariance.add(abs(conj.mirrored(a, beta).value - base.mirrored(a, beta).value))
 
             G1, G2 = inst.G1_raw, inst.G2_raw
-            G1s, G2s = _scaled(G1, rho1), _scaled(G2, rho2)
+            unscaled = _Pair(G1, G2, raw=True)
+            scaled = _Pair(_scaled(G1, rho1), _scaled(G2, rho2), raw=True)
             expected = math.log(rho1 / rho2)
             for a in alphas:
-                for measure in (nonmirrored_cross_entropy, mirrored_cross_entropy):
-                    diff = (
-                        measure(G1s, G2s, a, raw=True).value
-                        - measure(G1, G2, a, raw=True).value
-                    )
-                    scaling.add(abs(diff - expected) + tamper_offset)
+                for whole, part in zip(_measures(scaled, a), _measures(unscaled, a)):
+                    scaling.add(abs(whole - part - expected) + tamper_offset)
                 tri_scaled = tripartite_cross_entropy(
                     _scaled(G1, rho1), CrossGram(rho1 * inst.C12.values), _scaled(G2, rho1), a
                 ).value
@@ -307,54 +283,38 @@ def run_property_suite(
                     monotone.add(max(0.0, c_tri[lo] - c_tri[hi]))
 
             for a in (0.5, 2.0):
-                nm = nonmirrored_cross_entropy(K1, K2, a).value
-                mi = mirrored_cross_entropy(K1, K2, a).value
+                nm, mi = _measures(base, a)
                 ordering.add(max(0.0, mi - nm))
 
             part = halves(n)
-            P1, P2 = pinch(K1, part), pinch(K2, part)
+            pinched = _Pair(pinch(K1, part), pinch(K2, part))
             for a in alphas:
                 if 0.0 < a <= 2.0:
-                    dpi.add(
-                        max(0.0, nonmirrored_cross_entropy(P1, P2, a).value - c_non[a])
-                    )
+                    dpi.add(max(0.0, pinched.nonmirrored(a).value - c_non[a]))
                 if a >= 0.5:
-                    dpi.add(
-                        max(0.0, mirrored_cross_entropy(P1, P2, a).value - c_mir[a])
-                    )
+                    dpi.add(max(0.0, pinched.mirrored(a, a).value - c_mir[a]))
 
-            if inst.k1_lambda_min > 1e-3:
+            if base.e1.eigenvalues[-1] > 1e-3:
                 noise_rng = np.random.default_rng(_child_seed(seed, k, si, 300))
                 S = noise_rng.standard_normal((n, n))
                 S = 0.5 * (S + S.T)
                 noise = 1e-6 * S / np.linalg.norm(S)
-                K1p = normalize_trace(GramMatrix(K1.values + noise))
+                perturbed = _Pair(normalize_trace(GramMatrix(K1.values + noise)), K2)
                 for a in alphas:
-                    continuity.add(
-                        abs(nonmirrored_cross_entropy(K1p, K2, a).value - c_non[a])
-                    )
-                    continuity.add(
-                        abs(mirrored_cross_entropy(K1p, K2, a).value - c_mir[a])
-                    )
+                    continuity.add(abs(perturbed.nonmirrored(a).value - c_non[a]))
+                    continuity.add(abs(perturbed.mirrored(a, a).value - c_mir[a]))
 
-            A1, A2 = K1.values, K2.values
-            B1, B2 = inst.K3.values, inst.K4.values
-            M1, M2 = _mix(A1, B1), _mix(A2, B2)
+            other = _Pair(inst.K3, inst.K4)
+            mixed = _Pair(_mix(K1, inst.K3), _mix(K2, inst.K4), raw=True)
             for a in alphas:
                 if a != 1.0 and a <= 2.0:
-                    mid = _functional_nonmirrored(M1, M2, a)
-                    avg = 0.5 * (
-                        _functional_nonmirrored(A1, A2, a)
-                        + _functional_nonmirrored(B1, B2, a)
-                    )
+                    mid = mixed.nonmirrored_trace(a)
+                    avg = 0.5 * (base.nonmirrored_trace(a) + other.nonmirrored_trace(a))
                     gap = mid - avg if a > 1.0 else avg - mid
                     convexity.add(max(0.0, gap))
                 if a >= 0.5:
-                    mid = _functional_mirrored(M1, M2, a)
-                    avg = 0.5 * (
-                        _functional_mirrored(A1, A2, a)
-                        + _functional_mirrored(B1, B2, a)
-                    )
+                    mid, _ = mixed.mirrored_trace(a, a)
+                    avg = 0.5 * (base.mirrored_trace(a, a)[0] + other.mirrored_trace(a, a)[0])
                     gap = mid - avg if a > 1.0 else avg - mid
                     convexity.add(max(0.0, gap))
 
@@ -363,13 +323,16 @@ def run_property_suite(
         a2 = random_gram(_child_seed(seed, k, 201), 2)
         b1 = random_gram(_child_seed(seed, k, 202), 3)
         b2 = random_gram(_child_seed(seed, k, 203), 3)
-        kron1 = GramMatrix(np.kron(a1.values, b1.values), normalization=UNIT_TRACE)
-        kron2 = GramMatrix(np.kron(a2.values, b2.values), normalization=UNIT_TRACE)
+        kron = _Pair(
+            GramMatrix(np.kron(a1.values, b1.values), normalization=UNIT_TRACE),
+            GramMatrix(np.kron(a2.values, b2.values), normalization=UNIT_TRACE),
+        )
+        first, second = _Pair(a1, a2), _Pair(b1, b2)
         for a in alphas:
-            for measure in (nonmirrored_cross_entropy, mirrored_cross_entropy):
-                whole = measure(kron1, kron2, a).value
-                parts = measure(a1, a2, a).value + measure(b1, b2, a).value
-                additivity.add(abs(whole - parts))
+            for whole, p1, p2 in zip(
+                _measures(kron, a), _measures(first, a), _measures(second, a)
+            ):
+                additivity.add(abs(whole - (p1 + p2)))
 
     return [
         t.report()

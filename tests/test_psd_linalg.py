@@ -69,6 +69,15 @@ def test_power_identity_exponent_is_copy():
     assert out.clamp_count == 0
 
 
+def test_power_identity_exponent_is_support_restricted():
+    """p = 1 drops off-support and negative eigenvalues like any other p."""
+    G = GramMatrix(np.diag([1.0, 1e-20, -1e-3]))
+    out = matrix_power(G, 1.0)
+    npt.assert_allclose(out.values, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+    assert out.clamp_count == 2
+    npt.assert_allclose(out.values, matrix_power(G, 1.0000001).values, atol=1e-6)
+
+
 def test_power_square_root_diagonal():
     out = matrix_power(GramMatrix(np.diag([4.0, 1.0])), 0.5)
     npt.assert_allclose(out.values, np.diag([2.0, 1.0]), atol=1e-14)

@@ -14,6 +14,7 @@ import pytest
 
 from gramxent import (
     UNIT_TRACE,
+    ArgumentError,
     GramMatrix,
     KernelSpec,
     SampleSet,
@@ -29,13 +30,16 @@ from gramxent import (
     mirrored_limit_umegaki,
     mutual_information,
     nonmirrored_cross_entropy,
+    default_config,
     normalize_trace,
     random_orthogonal,
+    run_property_suite,
     support_included,
     trace_distance_bounds,
     trace_product,
     tripartite_cross_entropy,
 )
+from gramxent.experiments import _bipartite_rows
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -88,6 +92,79 @@ def test_each_gram_matrix_is_decomposed_once(label, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     call()
     assert counts["eigh"] + counts["eigvalsh"] == expected, counts
+
+
+def _count_decompositions(monkeypatch, call):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    call()
+    return counts
+
+
+def test_runner_draw_decomposes_its_pair_once(monkeypatch):
+    """Both measures at every default order from one eigh per Gram matrix;
+    each mirrored value adds the eigvalsh of its sandwich."""
+    _, _, G1, G2 = _grams(0, 16, 16)
+    K1, K2 = normalize_trace(G1), normalize_trace(G2)
+    alphas = default_config("convergence").alpha_grid
+    assert len(alphas) == 4
+    counts = _count_decompositions(
+        monkeypatch,
+        lambda: _bipartite_rows("convergence", GAUSS.family, K1, K2, 16, 4, 0, alphas),
+    )
+    assert counts == {"eigh": 2, "eigvalsh": 4}
+
+
+def test_property_suite_decomposes_each_pair_once(monkeypatch):
+    """Nine pairs per instance (base, self, conjugated, raw, scaled, pinched,
+    perturbed, second draw, mixture) and three Kronecker pairs per seed make
+    24 eigh; the tripartite checks add 2 per order at each of two scales
+    (24). Every mirrored value and sandwich adds one eigvalsh."""
+    counts = _count_decompositions(
+        monkeypatch, lambda: run_property_suite(n_seeds=1, sizes=(4,))
+    )
+    assert counts == {"eigh": 48, "eigvalsh": 88}
+
+
+def _poisoned(K, value):
+    M = K.values.copy()
+    M[0, 1] = M[1, 0] = value
+    return GramMatrix(M, normalization=K.normalization)
+
+
+def _entry_points(value):
+    X, Y, G1, G2 = _grams(0, 6, 6)
+    K1, K2 = normalize_trace(G1), normalize_trace(G2)
+    bad = _poisoned(K2, value)
+    return {
+        "nonmirrored": lambda: nonmirrored_cross_entropy(K1, bad, 2.0),
+        "mirrored": lambda: mirrored_cross_entropy(K1, bad, 2.0),
+        "two-param": lambda: mirrored_cross_entropy_two_param(K1, bad, 0.5, 0.75),
+        "umegaki": lambda: mirrored_limit_umegaki(K1, bad),
+        "tripartite": lambda: tripartite_cross_entropy(
+            _poisoned(G1, value), gram_cross(GAUSS, X, Y), G2, 2.0
+        ),
+        "entropy": lambda: matrix_renyi_entropy(bad, 2.0),
+        "bounds": lambda: trace_distance_bounds(K1, bad),
+        "matrix_power": lambda: matrix_power(bad, 1.0),
+        "support_included": lambda: support_included(K1, bad),
+    }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("label", sorted(_entry_points(0.0)))
+def test_non_finite_matrix_is_rejected(label, value):
+    """A NaN or inf entry is an ArgumentError at the decomposition, not an
+    inf value that looks like a failed support test, nor a LAPACK failure."""
+    with pytest.raises(ArgumentError, match="non-finite"):
+        _entry_points(value)[label]()
 
 
 # ---------------------------------------------------------- reference values
