@@ -8,9 +8,9 @@ Three core measures over kernel Gram matrices:
   with CIP = mean(K1) + mean(K2) - 2*mean(K12), the biased squared-MMD
   estimate, and nt = trace normalization.
 
-All bipartite measures are read off one decomposed pair (``_Pair``): a
-caller that needs several orders or both measures of the same two matrices
-builds the pair once instead of calling the public estimators per order.
+The bipartite measures are read off one decomposed pair (``_Pair``), the
+tripartite measure off one validated triple (``_Triple``): a caller needing
+several orders builds either once instead of calling the estimators per order.
 
 Bipartite measures return +inf when the support of K1 is not contained in
 the support of K2; this is exact for every order (negative powers of K2 only
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, ContractError, DegenerateMatrixError, NumericalDegeneracyError
-from .kernels import RAW, UNIT_TRACE, GramMatrix, hadamard_joint
+from .kernels import RAW, UNIT_TRACE, CrossGram, GramMatrix, hadamard_joint
 from .psd_linalg import SupportReport, _support_report, sym_eig
 
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
@@ -75,8 +75,8 @@ class CrossEntropyResult:
     """Estimator value plus diagnostics.
 
     ``support`` is the gating report for bipartite measures (rank_1 is K1's
-    rank, rank_2 is K2's) and the informational n == m report for the
-    tripartite measure; None when not applicable. ``clamp_count`` totals the
+    rank, rank_2 is K2's) and the tripartite measure's informational report
+    when it decomposed K2 (n == m); None otherwise. ``clamp_count`` totals the
     eigenvalues clamped across every spectral function in the evaluation.
     ``entropy_term`` is only set by the tripartite measure.
     ``support_reverse`` is only set by the Umegaki limit (both directions are
@@ -120,22 +120,6 @@ def _log_trace_term(K1, raw):
     return math.log(_positive_trace(K1))
 
 
-def _decompose_pair(K1, K2):
-    """Spectra of K1 and K2 plus the overlap O = U1^T U2 of their eigenbases.
-
-    The eigenvectors are released once O is formed: every bipartite trace
-    below is a function of the two spectra and O alone.
-    """
-    e1 = sym_eig(K1)
-    e2 = sym_eig(K2)
-    if e1.eigenvalues.shape != e2.eigenvalues.shape:
-        raise ArgumentError(
-            f"size mismatch: {e1.eigenvalues.shape[0]} vs {e2.eigenvalues.shape[0]}"
-        )
-    overlap = e1.eigenvectors.T @ e2.eigenvectors
-    return replace(e1, eigenvectors=None), replace(e2, eigenvectors=None), overlap
-
-
 class _Pair:
     """K1 and K2 decomposed once, with every bipartite measure read off them.
 
@@ -149,9 +133,14 @@ class _Pair:
     def __init__(self, K1, K2, raw=False):
         _check_trace_contract(K1, "K1", raw)
         _check_trace_contract(K2, "K2", raw)
+        if K1.n != K2.n:
+            raise ArgumentError(f"size mismatch: {K1.n} vs {K2.n}")
+        e1, e2 = sym_eig(K1), sym_eig(K2)
         self.K1 = K1
         self.raw = raw
-        self.e1, self.e2, self.overlap = _decompose_pair(K1, K2)
+        self.overlap = e1.eigenvectors.T @ e2.eigenvectors
+        # the traces below need only the two spectra and O: release the eigenvectors
+        self.e1, self.e2 = (replace(e, eigenvectors=None) for e in (e1, e2))
         self.support = _support_report(self.e1, self.e2, self.overlap)
 
     def nonmirrored_trace(self, a):
@@ -263,6 +252,61 @@ def mirrored_limit_umegaki(K1, K2, *, raw=False):
     return _Pair(K1, K2, raw).umegaki()
 
 
+class _Triple:
+    """K1, K12 and K2 validated once, holding the CIP and K1's spectrum.
+
+    K1's entries are checked where its spectrum is decomposed: by the caller
+    that passes ``e1``, else in the (K2, K1) pair at n == m (which also gives
+    the support report) or in K1's eigenvalue-only decomposition at n != m.
+    """
+
+    def __init__(self, K1, K12, K2, e1=None):
+        if not isinstance(K1, GramMatrix) or not isinstance(K2, GramMatrix):
+            raise ArgumentError("K1 and K2 must be GramMatrix instances")
+        if not isinstance(K12, CrossGram):
+            raise ArgumentError("K12 must be a CrossGram")
+        if K1.normalization != RAW or K2.normalization != RAW:
+            raise ContractError(
+                "tripartite expectations are grand means of raw Gram matrices; "
+                "pass un-normalized inputs"
+            )
+        n, m = K1.n, K2.n
+        if K12.values.shape != (n, m):
+            raise ArgumentError(
+                f"cross Gram shape {K12.values.shape} inconsistent with ({n}, {m})"
+            )
+        if not (np.all(np.isfinite(K2.values)) and np.all(np.isfinite(K12.values))):
+            raise ArgumentError("matrix has non-finite entries")
+        self.K1, self.e1, self.support = K1, e1, None
+        if e1 is None and n == m:
+            pair = _Pair(K2, K1, raw=True)
+            self.e1, self.support = pair.e2, pair.support
+        elif e1 is None:
+            self.e1 = sym_eig(K1, vectors=False)
+        self.cip = (
+            float(K1.values.mean()) + float(K2.values.mean()) - 2.0 * float(K12.values.mean())
+        )
+
+    def result(self, alpha):
+        """The tripartite measure at ``alpha``; a zero CIP gives the -inf / +inf sentinel."""
+        a = _as_alpha(alpha).value
+        if self.cip < ZERO_CIP_FLOOR:
+            sentinel = -math.inf if a > 1.0 else math.inf
+            return CrossEntropyResult(sentinel, a, self.support, degenerate=DEGENERATE_ZERO_CIP)
+        tr1 = _positive_trace(self.K1)
+        # the spectrum of nt(K1) is K1's divided by its trace
+        s = float(np.sum((self.e1.eigenvalues[self.e1.support] / tr1) ** a))
+        entropy_term = math.log(s) / (a - 1.0)
+        value = math.log(self.cip) / (a - 1.0) + entropy_term
+        return CrossEntropyResult(
+            value=value,
+            alpha=a,
+            support=self.support,
+            clamp_count=self.e1.clamp_count,
+            entropy_term=entropy_term,
+        )
+
+
 def tripartite_cross_entropy(K1, K12, K2, alpha):
     """Tripartite cross-entropy from raw Grams plus the cross Gram.
 
@@ -271,49 +315,10 @@ def tripartite_cross_entropy(K1, K12, K2, alpha):
     squared-MMD estimate. The entropy term trace-normalizes K1 internally.
     Support inclusion (supp K2 inside supp K1) is reported when n == m, and
     never gates: the measure is defined through means, not inverse powers.
+    Non-finite entries in any of the three matrices are an ArgumentError.
     """
     alpha = _as_alpha(alpha)
-    if not isinstance(K1, GramMatrix) or not isinstance(K2, GramMatrix):
-        raise ArgumentError("K1 and K2 must be GramMatrix instances")
-    if K1.normalization != RAW or K2.normalization != RAW:
-        raise ContractError(
-            "tripartite expectations are grand means of raw Gram matrices; "
-            "pass un-normalized inputs"
-        )
-    n = K1.n
-    m = K2.n
-    if K12.values.shape != (n, m):
-        raise ArgumentError(
-            f"cross Gram shape {K12.values.shape} inconsistent with ({n}, {m})"
-        )
-    if n == m:
-        e2, e1, overlap = _decompose_pair(K2, K1)
-        support = _support_report(e2, e1, overlap)
-    else:
-        e1 = sym_eig(K1, vectors=False)
-        support = None
-    cip = float(K1.values.mean()) + float(K2.values.mean()) - 2.0 * float(K12.values.mean())
-    a = alpha.value
-    if cip < ZERO_CIP_FLOOR:
-        sentinel = -math.inf if a > 1.0 else math.inf
-        return CrossEntropyResult(
-            value=sentinel,
-            alpha=a,
-            support=support,
-            degenerate=DEGENERATE_ZERO_CIP,
-        )
-    tr1 = _positive_trace(K1)
-    # the spectrum of nt(K1) is K1's divided by its trace
-    s = float(np.sum((e1.eigenvalues[e1.support] / tr1) ** a))
-    entropy_term = math.log(s) / (a - 1.0)
-    value = math.log(cip) / (a - 1.0) + entropy_term
-    return CrossEntropyResult(
-        value=value,
-        alpha=a,
-        support=support,
-        clamp_count=e1.clamp_count,
-        entropy_term=entropy_term,
-    )
+    return _Triple(K1, K12, K2).result(alpha)
 
 
 def matrix_renyi_entropy(K, alpha):

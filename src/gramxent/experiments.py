@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ParseError
-from .estimators import _Pair, tripartite_cross_entropy
+from .estimators import _Pair, _Triple
 from .kernels import (
     EXP_INNER_PRODUCT,
     FAMILIES,
@@ -47,6 +47,7 @@ from .kernels import (
     gram_univariate,
     normalize_trace,
 )
+from .psd_linalg import sym_eig
 
 EXPERIMENTS = ("convergence", "mean-shift", "variance-scale", "tripartite", "properties")
 
@@ -368,13 +369,14 @@ def run_tripartite(config):
             (m, d)
         )
         K1 = gram_univariate(spec, X)
+        # K1 depends only on the replicate: one spectrum serves every cell
+        e1 = sym_eig(K1, vectors=False)
         for measure, grid, builder in sweeps:
             for p in grid:
                 Y = SampleSet(builder(base, float(p), config))
-                K2 = gram_univariate(spec, Y)
-                K12 = gram_cross(spec, X, Y)
+                triple = _Triple(K1, gram_cross(spec, X, Y), gram_univariate(spec, Y), e1)
                 for a in config.alpha_grid:
-                    value = tripartite_cross_entropy(K1, K12, K2, a).value
+                    value = triple.result(a).value
                     rows.append(
                         ResultRow(
                             "tripartite", spec.family, float(a), float(p),

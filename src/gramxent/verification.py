@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .estimators import _Pair, tripartite_cross_entropy
+from .estimators import _Pair, _Triple
 from .experiments import _child_seed
 from .kernels import (
     UNIT_TRACE,
@@ -233,17 +233,12 @@ def run_property_suite(
             base = _Pair(K1, K2)
             c_non = {a: base.nonmirrored(a).value for a in alphas}
             c_mir = {a: base.mirrored(a, a).value for a in alphas}
-            c_tri = {
-                a: tripartite_cross_entropy(inst.G1_raw, inst.C12, inst.G2_raw, a).value
-                for a in alphas
-            }
-            cip = (
-                float(inst.G1_raw.values.mean())
-                + float(inst.G2_raw.values.mean())
-                - 2.0 * float(inst.C12.values.mean())
-            )
-            cip_nonneg.add(max(0.0, -cip))
-            cip_below_one = cip < 1.0
+            # the tripartite triple reads K1's spectrum off the raw pair
+            G1, G2, C12 = inst.G1_raw, inst.G2_raw, inst.C12
+            unscaled = _Pair(G1, G2, raw=True)
+            tri = _Triple(G1, C12, G2, unscaled.e1)
+            c_tri = {a: tri.result(a).value for a in alphas}
+            cip_nonneg.add(max(0.0, -tri.cip))
 
             same = _Pair(K1, K1)
             for a in alphas:
@@ -260,18 +255,15 @@ def run_property_suite(
                 invariance.add(abs(conj.mirrored(a, a).value - c_mir[a]))
                 invariance.add(abs(conj.mirrored(a, beta).value - base.mirrored(a, beta).value))
 
-            G1, G2 = inst.G1_raw, inst.G2_raw
-            unscaled = _Pair(G1, G2, raw=True)
-            scaled = _Pair(_scaled(G1, rho1), _scaled(G2, rho2), raw=True)
+            S1 = _scaled(G1, rho1)
+            scaled = _Pair(S1, _scaled(G2, rho2), raw=True)
+            tri_scaled = _Triple(S1, CrossGram(rho1 * C12.values), _scaled(G2, rho1), scaled.e1)
             expected = math.log(rho1 / rho2)
             for a in alphas:
                 for whole, part in zip(_measures(scaled, a), _measures(unscaled, a)):
                     scaling.add(abs(whole - part - expected) + tamper_offset)
-                tri_scaled = tripartite_cross_entropy(
-                    _scaled(G1, rho1), CrossGram(rho1 * inst.C12.values), _scaled(G2, rho1), a
-                ).value
-                tri_expected = math.log(rho1) / (a - 1.0)
-                scaling.add(abs(tri_scaled - c_tri[a] - tri_expected) + tamper_offset)
+                gap = tri_scaled.result(a).value - c_tri[a] - math.log(rho1) / (a - 1.0)
+                scaling.add(abs(gap) + tamper_offset)
 
             for lo, hi in zip(alphas, alphas[1:]):
                 monotone.add(max(0.0, c_non[lo] - c_non[hi]))
@@ -279,7 +271,7 @@ def run_property_suite(
                 # the tripartite CIP term has a pole at order 1, so its
                 # monotonicity only holds with both orders on the same side
                 same_side = (lo < 1.0) == (hi < 1.0)
-                if cip_below_one and same_side:
+                if tri.cip < 1.0 and same_side:
                     monotone.add(max(0.0, c_tri[lo] - c_tri[hi]))
 
             for a in (0.5, 2.0):

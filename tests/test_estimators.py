@@ -268,6 +268,13 @@ def test_tripartite_shape_validation():
         tripartite_cross_entropy(K1, wrong, K2, 2.0)
 
 
+def test_tripartite_cross_gram_must_be_a_cross_gram():
+    """A plain array for K12 is an ArgumentError, like a wrong K1 or K2 type."""
+    K1, K12, K2 = one_point_grams(0.0, 1.0)
+    with pytest.raises(ArgumentError, match="CrossGram"):
+        tripartite_cross_entropy(K1, K12.values, K2, 2.0)
+
+
 def test_tripartite_support_report_only_when_square():
     rng = np.random.default_rng(11)
     X = SampleSet(rng.standard_normal((6, 2)))

@@ -15,8 +15,11 @@ from gramxent import (
     KernelSpec,
     ParseError,
     ResultRow,
+    SampleSet,
     default_config,
     emit_results,
+    gram_cross,
+    gram_univariate,
     load_csv,
     parse_results_csv,
     run_convergence,
@@ -24,9 +27,10 @@ from gramxent import (
     run_tripartite,
     run_variance_scale,
     sample_gaussian,
+    tripartite_cross_entropy,
 )
 from gramxent.cli import main
-from gramxent.experiments import RESULT_COLUMNS
+from gramxent.experiments import RESULT_COLUMNS, _child_seed, _scaled_blue, _shifted_blue
 
 
 def write(tmp_path, name, text):
@@ -218,6 +222,36 @@ def test_tripartite_runner_handles_unequal_sizes():
     assert all(r.m == 9 and r.n == 6 for r in rows)
     assert all(math.isfinite(r.value) for r in rows)
     assert {r.measure for r in rows} == {"tripartite-shift", "tripartite-scale"}
+
+
+def test_tripartite_runner_matches_public_estimator():
+    """The runner reads every cell off one spectrum of K1 per replicate; each
+    row equals tripartite_cross_entropy on the same draws, bit for bit."""
+    cfg = default_config(
+        "tripartite", n_grid=(6,), m=9, d_grid=(2,), alpha_grid=(0.5, 1.5, 2.0),
+        shift_grid=(0.0, 1.0), scale_grid=(0.5, 2.0), replicates=2,
+    )
+    spec = KernelSpec("gaussian", 1.0)
+    expected = {}
+    for r in range(cfg.replicates):
+        X = sample_gaussian(_child_seed(cfg.seed, r, 0), 6, 2, scale=cfg.sample_scale)
+        base = np.random.default_rng(_child_seed(cfg.seed, r, 1)).standard_normal((9, 2))
+        for measure, grid, builder in (
+            ("tripartite-shift", cfg.shift_grid, _shifted_blue),
+            ("tripartite-scale", cfg.scale_grid, _scaled_blue),
+        ):
+            for p in grid:
+                Y = SampleSet(builder(base, p, cfg))
+                K1, K12, K2 = (
+                    gram_univariate(spec, X), gram_cross(spec, X, Y), gram_univariate(spec, Y)
+                )
+                for a in cfg.alpha_grid:
+                    value = tripartite_cross_entropy(K1, K12, K2, a).value
+                    expected[(a, p, measure, r)] = value
+    rows = run_tripartite(cfg)
+    assert len(rows) == len(expected) == 24
+    for row in rows:
+        assert row.value == expected[(row.alpha, row.parameter, row.measure, row.seed)]
 
 
 def test_tripartite_rejects_non_gaussian_kernel():

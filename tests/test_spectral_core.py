@@ -15,6 +15,7 @@ import pytest
 from gramxent import (
     UNIT_TRACE,
     ArgumentError,
+    CrossGram,
     GramMatrix,
     KernelSpec,
     SampleSet,
@@ -34,6 +35,7 @@ from gramxent import (
     normalize_trace,
     random_orthogonal,
     run_property_suite,
+    run_tripartite,
     support_included,
     trace_distance_bounds,
     trace_product,
@@ -125,12 +127,22 @@ def test_runner_draw_decomposes_its_pair_once(monkeypatch):
 def test_property_suite_decomposes_each_pair_once(monkeypatch):
     """Nine pairs per instance (base, self, conjugated, raw, scaled, pinched,
     perturbed, second draw, mixture) and three Kronecker pairs per seed make
-    24 eigh; the tripartite checks add 2 per order at each of two scales
-    (24). Every mirrored value and sandwich adds one eigvalsh."""
+    24 eigh; the two tripartite triples read K1's spectrum off the raw and
+    scaled pairs and add none. Every mirrored value and sandwich adds one
+    eigvalsh."""
     counts = _count_decompositions(
         monkeypatch, lambda: run_property_suite(n_seeds=1, sizes=(4,))
     )
-    assert counts == {"eigh": 48, "eigvalsh": 88}
+    assert counts == {"eigh": 24, "eigvalsh": 88}
+
+
+def test_tripartite_runner_decomposes_k1_once_per_replicate(monkeypatch):
+    """Every order, shift and scale of a replicate reads one eigvalsh of K1;
+    the default run has 5 replicates and n != m, so no eigh at all."""
+    config = default_config("tripartite")
+    assert config.replicates == 5 and config.m != config.n_grid[0]
+    counts = _count_decompositions(monkeypatch, lambda: run_tripartite(config))
+    assert counts == {"eigh": 0, "eigvalsh": 5}
 
 
 def _poisoned(K, value):
@@ -141,8 +153,11 @@ def _poisoned(K, value):
 
 def _entry_points(value):
     X, Y, G1, G2 = _grams(0, 6, 6)
+    _, Z, _, G3 = _grams(0, 6, 7)
     K1, K2 = normalize_trace(G1), normalize_trace(G2)
     bad = _poisoned(K2, value)
+    cross = gram_cross(GAUSS, X, Y).values.copy()
+    cross[0, 1] = value
     return {
         "nonmirrored": lambda: nonmirrored_cross_entropy(K1, bad, 2.0),
         "mirrored": lambda: mirrored_cross_entropy(K1, bad, 2.0),
@@ -151,6 +166,12 @@ def _entry_points(value):
         "tripartite": lambda: tripartite_cross_entropy(
             _poisoned(G1, value), gram_cross(GAUSS, X, Y), G2, 2.0
         ),
+        # K2 of another size and K12 are never decomposed, so they are
+        # checked before the CIP is formed
+        "tripartite-nonsquare-K2": lambda: tripartite_cross_entropy(
+            G1, gram_cross(GAUSS, X, Z), _poisoned(G3, value), 2.0
+        ),
+        "tripartite-K12": lambda: tripartite_cross_entropy(G1, CrossGram(cross), G2, 2.0),
         "entropy": lambda: matrix_renyi_entropy(bad, 2.0),
         "bounds": lambda: trace_distance_bounds(K1, bad),
         "matrix_power": lambda: matrix_power(bad, 1.0),
