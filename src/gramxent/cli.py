@@ -11,10 +11,12 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
-from .errors import GramxentError
+from .errors import ArgumentError, GramxentError
 from .experiments import (
     RUNNERS,
+    ExperimentConfig,
     default_config,
     emit_results,
 )
@@ -26,120 +28,104 @@ from .verification import (
     run_property_suite,
 )
 
-_CONFIG_GRID_KEYS = ("alpha_grid", "n_grid", "d_grid", "shift_grid", "scale_grid")
-_CONFIG_SCALAR_KEYS = (
-    "seed",
-    "replicates",
-    "sample_scale",
-    "m",
-    "output_path",
-    "out_format",
-)
+# Config-file keys and their types. An experiment takes every ExperimentConfig
+# field but its name, with the kernel as a family name plus a bandwidth; flag
+# dests carry the same names.
+_EXPERIMENT_KEYS = {
+    **{f.name: f.type for f in dataclasses.fields(ExperimentConfig)},
+    "kernel": str | None,
+    "sigma": float | None,
+}
+del _EXPERIMENT_KEYS["experiment"]
+_PROPERTY_KEYS = {
+    "seed": int,
+    "sizes": tuple[int, ...],
+    "alpha_grid": tuple[float, ...],
+    "n_seeds": int,
+}
 
 
 def _add_experiment_flags(p):
     p.add_argument("--kernel", choices=FAMILIES, default=None)
     p.add_argument("--sigma", type=float, default=None, help="kernel bandwidth")
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--n", type=int, action="append", default=None)
-    p.add_argument("--d", type=int, action="append", default=None)
-    p.add_argument("--shift", type=float, action="append", default=None)
-    p.add_argument("--scale", type=float, action="append", default=None)
+    p.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
+    p.add_argument("--n", dest="n_grid", metavar="N", type=int, action="append")
+    p.add_argument("--d", dest="d_grid", metavar="D", type=int, action="append")
+    p.add_argument("--shift", dest="shift_grid", metavar="SHIFT", type=float, action="append")
+    p.add_argument("--scale", dest="scale_grid", metavar="SCALE", type=float, action="append")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument(
+        "--out", dest="output_path", metavar="OUT", help="output path (default: stdout)"
+    )
+    p.add_argument("--format", dest="out_format", choices=("csv", "json"))
     p.add_argument("--config", default=None, help="JSON config file; flags override")
 
 
-def _resolve_seed(flag_seed, file_seed):
-    if flag_seed is not None:
-        return int(flag_seed)
-    if file_seed is not None:
-        return int(file_seed)
-    env = os.environ.get("GRAMXENT_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+def _fits(value, kind):
+    """Whether a JSON value has the type a config key is annotated with."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    kinds = typing.get_args(kind) or (kind,)
+    if float in kinds:
+        kinds += (int,)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _load_config_file(path):
+def _load_config_file(path, known):
+    """The JSON object in path; every key must be in known, a mapping from
+    key to type, and every value of that type."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise GramxentError(f"{path}: config must be a JSON object")
+        raise ArgumentError(f"{path}: config must be a JSON object")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kind = known[key]
+        if not _fits(value, kind):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            raise ArgumentError(f"config key {key!r} must be {name}, got {value!r}")
     return data
 
 
-def _build_config(experiment, args):
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    known = set(_CONFIG_GRID_KEYS) | set(_CONFIG_SCALAR_KEYS) | {"kernel", "sigma"}
-    unknown = set(file_cfg) - known
-    if unknown:
-        raise GramxentError(f"unknown config keys: {sorted(unknown)}")
-
-    overrides = {}
-    for key in _CONFIG_GRID_KEYS:
-        if key in file_cfg:
-            overrides[key] = tuple(file_cfg[key])
-    for key in _CONFIG_SCALAR_KEYS:
-        if key in file_cfg and key != "seed":
-            overrides[key] = file_cfg[key]
-
-    family = args.kernel or file_cfg.get("kernel")
-    sigma = args.sigma if args.sigma is not None else file_cfg.get("sigma")
-    if family is not None or sigma is not None:
-        overrides["kernel"] = KernelSpec(
-            family or GAUSSIAN, 1.0 if sigma is None else float(sigma)
-        )
-
-    flag_grids = (
-        ("alpha_grid", args.alpha),
-        ("n_grid", args.n),
-        ("d_grid", args.d),
-        ("shift_grid", args.shift),
-        ("scale_grid", args.scale),
-    )
-    for key, values in flag_grids:
-        if values:
-            overrides[key] = tuple(values)
-
-    overrides["seed"] = _resolve_seed(args.seed, file_cfg.get("seed"))
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
-    return default_config(experiment, **overrides)
+def _settings(args, known):
+    """Flag values over config-file values for the keys in known, grids as
+    tuples; the seed falls back to GRAMXENT_SEED, then 0."""
+    values = _load_config_file(args.config, known) if args.config else {}
+    for key in known:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+    if "seed" not in values:
+        values["seed"] = int(os.environ.get("GRAMXENT_SEED", 0))
+    return values
 
 
 def _run_experiment(experiment, args):
-    config = _build_config(experiment, args)
+    values = _settings(args, _EXPERIMENT_KEYS)
+    family, sigma = values.pop("kernel", None), values.pop("sigma", None)
+    if family is not None or sigma is not None:
+        values["kernel"] = KernelSpec(
+            family or GAUSSIAN, 1.0 if sigma is None else float(sigma)
+        )
+    config = default_config(experiment, **values)
     rows = RUNNERS[experiment](config)
     emit_results(rows, config.output_path, config.out_format)
     return 0
 
 
 def _run_properties(args):
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    seed = _resolve_seed(args.seed, file_cfg.get("seed"))
-    sizes = tuple(args.n) if args.n else tuple(file_cfg.get("sizes", DEFAULT_SIZES))
-    alphas = (
-        tuple(args.alpha)
-        if args.alpha
-        else tuple(file_cfg.get("alpha_grid", DEFAULT_ALPHA_GRID))
-    )
-    n_seeds = args.seeds if args.seeds is not None else file_cfg.get("n_seeds", 20)
-    reports = run_property_suite(
-        seed=seed,
-        sizes=sizes,
-        alpha_grid=alphas,
-        n_seeds=int(n_seeds),
-        tamper=args.tamper,
-    )
+    settings = {"sizes": DEFAULT_SIZES, "alpha_grid": DEFAULT_ALPHA_GRID, "n_seeds": 20}
+    settings.update(_settings(args, _PROPERTY_KEYS))
+    reports = run_property_suite(**settings, tamper=args.tamper)
     payload = {
-        "seed": seed,
-        "sizes": list(sizes),
-        "alpha_grid": [float(a) for a in alphas],
-        "n_seeds": int(n_seeds),
+        "seed": settings["seed"],
+        "sizes": list(settings["sizes"]),
+        "alpha_grid": [float(a) for a in settings["alpha_grid"]],
+        "n_seeds": settings["n_seeds"],
         "tamper": args.tamper,
         "passed": all(r.passed for r in reports),
         "properties": [dataclasses.asdict(r) for r in reports],
@@ -163,9 +149,13 @@ def build_parser():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _add_experiment_flags(p)
     p = sub.add_parser("properties", help="run the invariant suite")
-    p.add_argument("--alpha", type=float, action="append", default=None)
-    p.add_argument("--n", type=int, action="append", default=None, help="matrix sizes")
-    p.add_argument("--seeds", type=int, default=None, help="instances per size")
+    p.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
+    p.add_argument(
+        "--n", dest="sizes", metavar="N", type=int, action="append", help="matrix sizes"
+    )
+    p.add_argument(
+        "--seeds", dest="n_seeds", metavar="SEEDS", type=int, help="instances per size"
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tamper", choices=TAMPER_MODES, default=None)
     p.add_argument("--out", default=None)
@@ -179,7 +169,7 @@ def main(argv=None):
         if args.command == "properties":
             return _run_properties(args)
         return _run_experiment(args.command, args)
-    except (GramxentError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (GramxentError, OSError, ValueError) as exc:
         print(f"gramxent: error: {exc}", file=sys.stderr)
         return 1
 

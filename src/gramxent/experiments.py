@@ -5,20 +5,12 @@ from seeds derived with SeedSequence, grid cells are evaluated in a
 deterministic order, and rows are sorted on the key columns before emission,
 so a rerun with the same config is byte-identical.
 
-Default grids:
-
-* convergence: d in {2, 10, 25, 50, 100}, n in {16 .. 512}, 10 replicates,
-  gaussian kernel, unit sample scale.
-* mean-shift: n = 64, d = 10, sample scale 0.25, shifts in [-3, 3],
-  both kernel families, 5 replicates.
-* variance-scale: n = 24, d = 25, sample scale 0.25, blue-set scale in
-  {0.25, 0.5, 1, 2, 4}, both kernel families, 5 replicates.
-* tripartite: n = 64 vs m = 96 two-dimensional sets, gaussian kernel,
-  orders {1.5, 2}, shift and scale sweeps, 5 replicates.
-
-The sample scales were tuned so the Gram spectra stay well conditioned at
-the default sizes; at low dimension with unit-scale draws the bipartite
-estimators are dominated by eigenvector noise between independent sets.
+Each experiment's defaults are the ExperimentConfig field defaults with the
+entries of ``_DEFAULTS`` on top. The sweep sample scales were tuned so the
+Gram spectra stay well conditioned at the default sizes; at low dimension
+with unit-scale draws the bipartite estimators are dominated by eigenvector
+noise between independent sets. The two sweeps and the tripartite runner
+evaluate one (n, d) cell, so their n and d grids take exactly one value.
 
 The convergence ``nonmirrored``/``mirrored`` rows compare the Grams of two
 unpaired sets index by index: row i of each Gram belongs to a different,
@@ -31,7 +23,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +32,6 @@ from .errors import ArgumentError, ParseError
 from .estimators import _Pair, _Triple
 from .kernels import (
     EXP_INNER_PRODUCT,
-    FAMILIES,
     GAUSSIAN,
     KernelSpec,
     SampleSet,
@@ -48,8 +40,6 @@ from .kernels import (
     normalize_trace,
 )
 from .psd_linalg import sym_eig
-
-EXPERIMENTS = ("convergence", "mean-shift", "variance-scale", "tripartite", "properties")
 
 RESULT_COLUMNS = (
     "experiment",
@@ -82,11 +72,11 @@ class ExperimentConfig:
 
     experiment: str
     kernel: KernelSpec | None = None
-    alpha_grid: tuple = (0.5, 1.5, 2.0, 4.0)
-    n_grid: tuple = (16, 32, 64, 128, 256, 512)
-    d_grid: tuple = (2, 10, 25, 50, 100)
-    shift_grid: tuple = (0.0,)
-    scale_grid: tuple = (1.0,)
+    alpha_grid: tuple[float, ...] = (0.5, 1.5, 2.0, 4.0)
+    n_grid: tuple[int, ...] = (16, 32, 64, 128, 256, 512)
+    d_grid: tuple[int, ...] = (2, 10, 25, 50, 100)
+    shift_grid: tuple[float, ...] = (0.0,)
+    scale_grid: tuple[float, ...] = (1.0,)
     seed: int = 0
     replicates: int = 1
     sample_scale: float = 1.0
@@ -95,14 +85,13 @@ class ExperimentConfig:
     out_format: str = "csv"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _DEFAULTS:
             raise ArgumentError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; choose from {tuple(_DEFAULTS)}"
             )
-        for name in ("alpha_grid", "n_grid", "d_grid", "shift_grid", "scale_grid"):
-            grid = getattr(self, name)
-            if len(grid) == 0:
-                raise ArgumentError(f"{name} must be non-empty")
+        for f in fields(self):
+            if typing.get_origin(f.type) is tuple and len(getattr(self, f.name)) == 0:
+                raise ArgumentError(f"{f.name} must be non-empty")
         if self.replicates < 1:
             raise ArgumentError("replicates must be >= 1")
         if not (self.sample_scale > 0):
@@ -111,55 +100,38 @@ class ExperimentConfig:
             raise ArgumentError(f"format must be csv or json, got {self.out_format!r}")
 
 
-_MEAN_SHIFT_GRID = tuple(float(x) for x in np.linspace(-3.0, 3.0, 9))
-_TRI_SHIFT_GRID = tuple(float(x) for x in np.linspace(-2.0, 2.0, 9))
+# Each experiment's departures from the ExperimentConfig field defaults.
+_DEFAULTS = {
+    "convergence": dict(replicates=10),
+    "mean-shift": dict(
+        n_grid=(64,),
+        d_grid=(10,),
+        shift_grid=tuple(float(x) for x in np.linspace(-3.0, 3.0, 9)),
+        replicates=5,
+        sample_scale=0.25,
+    ),
+    "variance-scale": dict(
+        n_grid=(24,),
+        d_grid=(25,),
+        scale_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
+        replicates=5,
+        sample_scale=0.25,
+    ),
+    "tripartite": dict(
+        alpha_grid=(1.5, 2.0),
+        n_grid=(64,),
+        d_grid=(2,),
+        shift_grid=tuple(float(x) for x in np.linspace(-2.0, 2.0, 9)),
+        scale_grid=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
+        replicates=5,
+        m=96,
+    ),
+}
 
 
 def default_config(experiment, **overrides):
     """The pinned per-experiment defaults; keyword overrides win."""
-    base = {
-        "convergence": dict(
-            alpha_grid=(0.5, 1.5, 2.0, 4.0),
-            n_grid=(16, 32, 64, 128, 256, 512),
-            d_grid=(2, 10, 25, 50, 100),
-            replicates=10,
-            sample_scale=1.0,
-        ),
-        "mean-shift": dict(
-            alpha_grid=(0.5, 1.5, 2.0, 4.0),
-            n_grid=(64,),
-            d_grid=(10,),
-            shift_grid=_MEAN_SHIFT_GRID,
-            replicates=5,
-            sample_scale=0.25,
-        ),
-        "variance-scale": dict(
-            alpha_grid=(0.5, 1.5, 2.0, 4.0),
-            n_grid=(24,),
-            d_grid=(25,),
-            scale_grid=(0.25, 0.5, 1.0, 2.0, 4.0),
-            replicates=5,
-            sample_scale=0.25,
-        ),
-        "tripartite": dict(
-            alpha_grid=(1.5, 2.0),
-            n_grid=(64,),
-            d_grid=(2,),
-            shift_grid=_TRI_SHIFT_GRID,
-            scale_grid=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
-            replicates=5,
-            sample_scale=1.0,
-            m=96,
-        ),
-        "properties": dict(),
-    }
-    if experiment not in base:
-        raise ArgumentError(
-            f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}"
-        )
-    kwargs = dict(base[experiment])
-    kwargs.update(overrides)
-    return ExperimentConfig(experiment=experiment, **kwargs)
+    return ExperimentConfig(experiment, **{**_DEFAULTS.get(experiment, {}), **overrides})
 
 
 @dataclass(frozen=True)
@@ -297,10 +269,20 @@ def run_convergence(config):
     return sorted(rows, key=ResultRow.key)
 
 
-def _sweep_rows(config, sweep_name, grid, blue_builder):
+def _one_value(config, name):
+    """The single value of a grid the runner evaluates as one cell."""
+    grid = getattr(config, name)
+    if len(grid) != 1:
+        raise ArgumentError(
+            f"{config.experiment} takes one value in {name}, got {len(grid)}"
+        )
+    return grid[0]
+
+
+def _sweep_rows(config, grid, blue_builder):
     """Shared bipartite sweep: fixed red set, blue set transformed per cell."""
-    n = config.n_grid[0]
-    d = config.d_grid[0]
+    n = _one_value(config, "n_grid")
+    d = _one_value(config, "d_grid")
     rows = []
     for family in _families(config, (GAUSSIAN, EXP_INNER_PRODUCT)):
         spec = KernelSpec(family, _bandwidth(config))
@@ -315,7 +297,7 @@ def _sweep_rows(config, sweep_name, grid, blue_builder):
             for p in grid:
                 blue = SampleSet(blue_builder(blue_base, float(p), config))
                 rows += _bipartite_rows(
-                    sweep_name, family, K_red,
+                    config.experiment, family, K_red,
                     normalize_trace(gram_univariate(spec, blue)),
                     p, d, r, config.alpha_grid,
                 )
@@ -336,14 +318,14 @@ def run_mean_shift(config):
     """Blue-set mean swept along the first coordinate; red set fixed."""
     if config.experiment != "mean-shift":
         raise ArgumentError("config.experiment must be 'mean-shift'")
-    return _sweep_rows(config, "mean-shift", config.shift_grid, _shifted_blue)
+    return _sweep_rows(config, config.shift_grid, _shifted_blue)
 
 
 def run_variance_scale(config):
     """Blue-set standard deviation swept over scale_grid; red set fixed."""
     if config.experiment != "variance-scale":
         raise ArgumentError("config.experiment must be 'variance-scale'")
-    return _sweep_rows(config, "variance-scale", config.scale_grid, _scaled_blue)
+    return _sweep_rows(config, config.scale_grid, _scaled_blue)
 
 
 def run_tripartite(config):
@@ -353,9 +335,9 @@ def run_tripartite(config):
     spec = config.kernel or KernelSpec(GAUSSIAN, 1.0)
     if spec.family != GAUSSIAN:
         raise ArgumentError("tripartite runs use the gaussian kernel")
-    n = config.n_grid[0]
+    n = _one_value(config, "n_grid")
     m = config.m if config.m is not None else n
-    d = config.d_grid[0]
+    d = _one_value(config, "d_grid")
     rows = []
     sweeps = (
         (MEASURE_TRIPARTITE_SHIFT, config.shift_grid, _shifted_blue),

@@ -206,6 +206,10 @@ def run_property_suite(
     """
     if tamper is not None and tamper not in TAMPER_MODES:
         raise ArgumentError(f"unknown tamper mode {tamper!r}; known: {TAMPER_MODES}")
+    if n_seeds < 1 or not sizes or not alpha_grid:
+        raise ArgumentError("the suite needs n_seeds >= 1 and non-empty sizes and orders")
+    if min(sizes) < 2:
+        raise ArgumentError(f"matrix sizes must be >= 2, got {min(sizes)}")
     alphas = sorted(float(a) for a in alpha_grid)
     spec = KernelSpec()
 

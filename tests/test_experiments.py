@@ -1,5 +1,6 @@
 """Sample loading, experiment runners, result serialization, and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from gramxent import (
     tripartite_cross_entropy,
 )
 from gramxent.cli import main
-from gramxent.experiments import RESULT_COLUMNS, _child_seed, _scaled_blue, _shifted_blue
+from gramxent.experiments import RESULT_COLUMNS, RUNNERS, _child_seed, _scaled_blue, _shifted_blue
 
 
 def write(tmp_path, name, text):
@@ -149,6 +150,13 @@ def test_default_config_overrides_win():
 def test_config_validation(kwargs):
     with pytest.raises(ArgumentError):
         ExperimentConfig(**kwargs)
+
+
+def test_every_runner_has_defaults_and_nothing_else():
+    for name in RUNNERS:
+        assert default_config(name).experiment == name
+    with pytest.raises(ArgumentError, match="unknown experiment"):
+        default_config("properties")
 
 
 def test_runner_rejects_mismatched_config():
@@ -459,3 +467,93 @@ def test_cli_rejects_non_object_config(tmp_path, capsys):
 def test_cli_reports_missing_config_file(tmp_path, capsys):
     assert main(["mean-shift", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# Per config-file key: the file value, the field it lands on and the value it
+# gives there, then a flag (or None when the key has none) and the value the
+# flag gives over the file.
+CONFIG_KEY_CASES = {
+    "kernel": (
+        "exponential-inner-product", "kernel", KernelSpec("exponential-inner-product"),
+        ["--kernel", "gaussian"], KernelSpec("gaussian"),
+    ),
+    "sigma": (2.0, "kernel", KernelSpec("gaussian", 2.0), ["--sigma", "3"],
+              KernelSpec("gaussian", 3.0)),
+    "alpha_grid": ([0.5, 1.5], "alpha_grid", (0.5, 1.5), ["--alpha", "2"], (2.0,)),
+    "n_grid": ([8], "n_grid", (8,), ["--n", "12"], (12,)),
+    "d_grid": ([3], "d_grid", (3,), ["--d", "4"], (4,)),
+    "shift_grid": ([1.0], "shift_grid", (1.0,), ["--shift", "2"], (2.0,)),
+    "scale_grid": ([2.0], "scale_grid", (2.0,), ["--scale", "3"], (3.0,)),
+    "seed": (3, "seed", 3, ["--seed", "5"], 5),
+    "replicates": (2, "replicates", 2, None, None),
+    "sample_scale": (0.5, "sample_scale", 0.5, None, None),
+    "m": (7, "m", 7, None, None),
+    "output_path": ("file.csv", "output_path", "file.csv", ["--out", "flag.csv"],
+                    "flag.csv"),
+    "out_format": ("json", "out_format", "json", ["--format", "csv"], "csv"),
+}
+
+
+def test_config_key_cases_cover_every_config_field():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(CONFIG_KEY_CASES) == fields - {"experiment"} | {"sigma"}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEY_CASES))
+def test_config_file_key_lands_on_its_field_and_flag_wins(key, tmp_path, monkeypatch):
+    file_value, field, from_file, flag, from_flag = CONFIG_KEY_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
+    seen = []
+    monkeypatch.setitem(RUNNERS, "mean-shift", lambda config: seen.append(config) or [])
+    write(tmp_path, "cfg.json", json.dumps({key: file_value}))
+    assert main(["mean-shift", "--config", "cfg.json"]) == 0
+    assert getattr(seen[-1], field) == from_file
+    if flag is not None:
+        assert main(["mean-shift", "--config", "cfg.json", *flag]) == 0
+        assert getattr(seen[-1], field) == from_flag
+
+
+@pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["mean-shift", "--n", "8", "--n", "16"], "n_grid"),
+        (["variance-scale", "--d", "2", "--d", "3"], "d_grid"),
+        (["tripartite", "--n", "8", "--n", "16"], "n_grid"),
+    ],
+)
+def test_single_cell_runners_reject_several_sizes(argv, grid, capsys):
+    """The sweeps and the tripartite runner evaluate one (n, d) cell; a second
+    value would be dropped without a word."""
+    assert main(argv) == 1
+    assert grid in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, named", [(["--seeds", "0"], "n_seeds"), (["--n", "1"], "sizes")]
+)
+def test_cli_properties_refuses_vacuous_runs(extra, named, capsys):
+    assert main(["properties", *extra]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("mean-shift", {"n_grid": 8}, "n_grid"),
+        ("mean-shift", {"replicates": "2"}, "replicates"),
+        ("properties", {"sizes": 4}, "sizes"),
+    ],
+)
+def test_cli_rejects_wrongly_typed_config_value(command, config, key, tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", json.dumps(config))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_cli_properties_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", json.dumps({"n_seed": 1}))
+    assert main(["properties", "--config", cfg]) == 1
+    assert "n_seed" in capsys.readouterr().err

@@ -146,6 +146,22 @@ def test_unknown_tamper_mode_rejected():
         small_suite(tamper="everything")
 
 
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        (dict(n_seeds=0), "n_seeds"),
+        (dict(sizes=()), "sizes"),
+        (dict(alpha_grid=()), "orders"),
+        (dict(sizes=(4, 1)), "sizes"),
+    ],
+)
+def test_suite_refuses_to_pass_vacuously(kwargs, named):
+    """An empty run checks nothing and a 1 x 1 pair has nothing to compare;
+    either is an argument error, not a pass."""
+    with pytest.raises(ArgumentError, match=named):
+        run_property_suite(**kwargs)
+
+
 def test_suite_default_grid_runs_clean():
     """One seed at the default sizes and orders, as a cheap canary."""
     reports = run_property_suite(seed=0, n_seeds=1)
