@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ArgumentError, ContractError, DegenerateMatrixError, NumericalDegeneracyError
 from .kernels import RAW, UNIT_TRACE, CrossGram, GramMatrix, hadamard_joint
-from .psd_linalg import SupportReport, _support_report, sym_eig
+from .psd_linalg import SupportReport, _check_symmetric, _support_report, sym_eig
 
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
 ALPHA_UNIT_GAP = 1e-6
@@ -74,9 +74,9 @@ def _as_alpha(alpha):
 class CrossEntropyResult:
     """Estimator value plus diagnostics.
 
-    ``support`` is the gating report for bipartite measures (rank_1 is K1's
-    rank, rank_2 is K2's) and the tripartite measure's informational report
-    when it decomposed K2 (n == m); None otherwise. ``clamp_count`` totals the
+    ``support`` is the report that gates a bipartite measure's +inf (rank_1
+    is K1's rank, rank_2 is K2's); the tripartite measure, which no support
+    test gates, leaves it None. ``clamp_count`` totals the
     eigenvalues clamped across every spectral function in the evaluation.
     ``entropy_term`` is only set by the tripartite measure.
     ``support_reverse`` is only set by the Umegaki limit (both directions are
@@ -255,9 +255,10 @@ def mirrored_limit_umegaki(K1, K2, *, raw=False):
 class _Triple:
     """K1, K12 and K2 validated once, holding the CIP and K1's spectrum.
 
-    K1's entries are checked where its spectrum is decomposed: by the caller
-    that passes ``e1``, else in the (K2, K1) pair at n == m (which also gives
-    the support report) or in K1's eigenvalue-only decomposition at n != m.
+    The value reads K1's eigenvalues and nothing else spectral: the caller's
+    ``e1``, else one eigenvalue-only decomposition of K1, which also checks
+    K1's entries. K2 and K12 enter only through their grand means, so their
+    entries and K2's symmetry are checked here, at every n and m.
     """
 
     def __init__(self, K1, K12, K2, e1=None):
@@ -277,12 +278,9 @@ class _Triple:
             )
         if not (np.all(np.isfinite(K2.values)) and np.all(np.isfinite(K12.values))):
             raise ArgumentError("matrix has non-finite entries")
-        self.K1, self.e1, self.support = K1, e1, None
-        if e1 is None and n == m:
-            pair = _Pair(K2, K1, raw=True)
-            self.e1, self.support = pair.e2, pair.support
-        elif e1 is None:
-            self.e1 = sym_eig(K1, vectors=False)
+        _check_symmetric(K2.values)
+        self.K1 = K1
+        self.e1 = sym_eig(K1, vectors=False) if e1 is None else e1
         self.cip = (
             float(K1.values.mean()) + float(K2.values.mean()) - 2.0 * float(K12.values.mean())
         )
@@ -292,7 +290,7 @@ class _Triple:
         a = _as_alpha(alpha).value
         if self.cip < ZERO_CIP_FLOOR:
             sentinel = -math.inf if a > 1.0 else math.inf
-            return CrossEntropyResult(sentinel, a, self.support, degenerate=DEGENERATE_ZERO_CIP)
+            return CrossEntropyResult(sentinel, a, degenerate=DEGENERATE_ZERO_CIP)
         tr1 = _positive_trace(self.K1)
         # the spectrum of nt(K1) is K1's divided by its trace
         s = float(np.sum((self.e1.eigenvalues[self.e1.support] / tr1) ** a))
@@ -301,7 +299,6 @@ class _Triple:
         return CrossEntropyResult(
             value=value,
             alpha=a,
-            support=self.support,
             clamp_count=self.e1.clamp_count,
             entropy_term=entropy_term,
         )
@@ -312,10 +309,12 @@ def tripartite_cross_entropy(K1, K12, K2, alpha):
 
     K1 (n x n) and K2 (m x m) must be raw: the cross-information potential
     CIP = mean(K1) + mean(K2) - 2*mean(K12) is a plain grand mean, the biased
-    squared-MMD estimate. The entropy term trace-normalizes K1 internally.
-    Support inclusion (supp K2 inside supp K1) is reported when n == m, and
-    never gates: the measure is defined through means, not inverse powers.
-    Non-finite entries in any of the three matrices are an ArgumentError.
+    squared-MMD estimate, which does not depend on sample order. The entropy
+    term trace-normalizes K1 internally and needs only K1's eigenvalues, so
+    one ``eigvalsh`` at any n and m. No support test gates the measure (it is
+    defined through means, not inverse powers) and ``support`` is None.
+    Non-finite entries in any of the three matrices and an asymmetric K1 or
+    K2 are an ArgumentError.
     """
     alpha = _as_alpha(alpha)
     return _Triple(K1, K12, K2).result(alpha)

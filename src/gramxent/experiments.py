@@ -41,19 +41,6 @@ from .kernels import (
 )
 from .psd_linalg import sym_eig
 
-RESULT_COLUMNS = (
-    "experiment",
-    "kernel",
-    "alpha",
-    "parameter",
-    "measure",
-    "value",
-    "n",
-    "m",
-    "d",
-    "seed",
-)
-
 MEASURE_NONMIRRORED = "nonmirrored"
 MEASURE_MIRRORED = "mirrored"
 MEASURE_TRIPARTITE_SHIFT = "tripartite-shift"
@@ -94,6 +81,8 @@ class ExperimentConfig:
                 raise ArgumentError(f"{f.name} must be non-empty")
         if self.replicates < 1:
             raise ArgumentError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
         if not (self.sample_scale > 0):
             raise ArgumentError("sample_scale must be positive")
         if self.out_format not in ("csv", "json"):
@@ -148,17 +137,11 @@ class ResultRow:
     seed: int
 
     def key(self):
-        return (
-            self.experiment,
-            self.kernel,
-            self.alpha,
-            self.parameter,
-            self.measure,
-            self.n,
-            self.m,
-            self.d,
-            self.seed,
-        )
+        """Every column but the value, in column order."""
+        return tuple(getattr(self, col) for col in RESULT_COLUMNS if col != "value")
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def load_csv(path):
@@ -220,6 +203,15 @@ def _bandwidth(config):
     return config.kernel.bandwidth if config.kernel is not None else 1.0
 
 
+def _check_unread(config, *names):
+    """Reject a field the runner never reads unless it keeps its field default,
+    so a setting is never dropped without a word."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for name in names:
+        if getattr(config, name) != defaults[name]:
+            raise ArgumentError(f"{config.experiment} does not use {name}; leave it unset")
+
+
 def _bipartite_rows(experiment, family, K1, K2, parameter, d, r, alpha_grid):
     """Nonmirrored and mirrored rows of one Gram pair over every order, all
     read off one decomposition of the pair."""
@@ -247,6 +239,7 @@ def run_convergence(config):
     """
     if config.experiment != "convergence":
         raise ArgumentError("config.experiment must be 'convergence'")
+    _check_unread(config, "shift_grid", "scale_grid", "m")
     spec = config.kernel or KernelSpec(GAUSSIAN, _bandwidth(config))
     rows = []
     for di, d in enumerate(config.d_grid):
@@ -318,6 +311,7 @@ def run_mean_shift(config):
     """Blue-set mean swept along the first coordinate; red set fixed."""
     if config.experiment != "mean-shift":
         raise ArgumentError("config.experiment must be 'mean-shift'")
+    _check_unread(config, "scale_grid", "m")
     return _sweep_rows(config, config.shift_grid, _shifted_blue)
 
 
@@ -325,6 +319,7 @@ def run_variance_scale(config):
     """Blue-set standard deviation swept over scale_grid; red set fixed."""
     if config.experiment != "variance-scale":
         raise ArgumentError("config.experiment must be 'variance-scale'")
+    _check_unread(config, "shift_grid", "m")
     return _sweep_rows(config, config.scale_grid, _scaled_blue)
 
 
@@ -422,18 +417,5 @@ def parse_results_csv(path):
         for i, cells in enumerate(reader, start=2):
             if len(cells) != len(RESULT_COLUMNS):
                 raise ParseError(path, i, "wrong column count")
-            rows.append(
-                ResultRow(
-                    experiment=cells[0],
-                    kernel=cells[1],
-                    alpha=float(cells[2]),
-                    parameter=float(cells[3]),
-                    measure=cells[4],
-                    value=float(cells[5]),
-                    n=int(cells[6]),
-                    m=int(cells[7]),
-                    d=int(cells[8]),
-                    seed=int(cells[9]),
-                )
-            )
+            rows.append(ResultRow(*(f.type(c) for f, c in zip(fields(ResultRow), cells))))
     return rows

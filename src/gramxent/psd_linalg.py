@@ -85,6 +85,16 @@ def _as_array(G):
     return G.values if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
 
 
+def _check_symmetric(A):
+    """Reject an array that is not square, or whose asymmetry exceeds
+    n * SYMMETRY_RTOL * max|A|."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
+    scale = float(np.max(np.abs(A))) if A.size else 0.0
+    if scale > 0 and float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale * A.shape[0]:
+        raise ArgumentError("matrix is not symmetric within tolerance")
+
+
 def sym_eig(G, vectors=True):
     """Symmetric eigendecomposition with eigenvalues sorted descending.
 
@@ -94,13 +104,9 @@ def sym_eig(G, vectors=True):
     spectral quantity is ever read off a NaN or inf matrix.
     """
     A = _as_array(G)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ArgumentError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if scale > 0 and float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale * A.shape[0]:
-        raise ArgumentError("matrix is not symmetric within tolerance")
+    _check_symmetric(A)
     V = None
     try:
         if vectors:

@@ -208,6 +208,8 @@ def run_property_suite(
         raise ArgumentError(f"unknown tamper mode {tamper!r}; known: {TAMPER_MODES}")
     if n_seeds < 1 or not sizes or not alpha_grid:
         raise ArgumentError("the suite needs n_seeds >= 1 and non-empty sizes and orders")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if min(sizes) < 2:
         raise ArgumentError(f"matrix sizes must be >= 2, got {min(sizes)}")
     alphas = sorted(float(a) for a in alpha_grid)

@@ -275,7 +275,8 @@ def test_tripartite_cross_gram_must_be_a_cross_gram():
         tripartite_cross_entropy(K1, K12.values, K2, 2.0)
 
 
-def test_tripartite_support_report_only_when_square():
+def test_tripartite_has_no_support_report():
+    """No support test gates the tripartite measure, at n != m or n == m."""
     rng = np.random.default_rng(11)
     X = SampleSet(rng.standard_normal((6, 2)))
     Y = SampleSet(rng.standard_normal((9, 2)) + 0.5)
@@ -288,7 +289,8 @@ def test_tripartite_support_report_only_when_square():
     sq = tripartite_cross_entropy(
         gram_univariate(GAUSS, X), gram_cross(GAUSS, X, Z), gram_univariate(GAUSS, Z), 1.5
     )
-    assert sq.support is not None
+    assert sq.support is None
+    assert math.isfinite(sq.value)
 
 
 def test_tripartite_cip_matches_double_sums():
@@ -307,6 +309,73 @@ def test_tripartite_cip_matches_double_sums():
     kxy = sum(eval_kernel(GAUSS, xs[i], ys[j]) for i in range(n) for j in range(m))
     explicit = kxx / n**2 + kyy / m**2 - 2.0 * kxy / (n * m)
     assert cip == pytest.approx(explicit, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [6, 9])
+def test_tripartite_rejects_an_asymmetric_k2(m):
+    """K2 enters only through its mean, yet is held to sym_eig's symmetry test
+    at every size."""
+    rng = np.random.default_rng(13)
+    X = SampleSet(rng.standard_normal((6, 2)))
+    Y = SampleSet(rng.standard_normal((m, 2)))
+    G2 = gram_univariate(GAUSS, Y).values.copy()
+    G2[0, 1] += 1e-3
+    with pytest.raises(ArgumentError, match="not symmetric"):
+        tripartite_cross_entropy(
+            gram_univariate(GAUSS, X), gram_cross(GAUSS, X, Y), GramMatrix(G2), 2.0
+        )
+
+
+# ------------------------------------------------------------ order invariance
+
+def _draws(seed, n, m, d=4):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)), 0.8 * rng.standard_normal((m, d)) + 0.3
+
+
+def _tripartite(xs, ys, alpha):
+    X, Y = SampleSet(xs), SampleSet(ys)
+    return tripartite_cross_entropy(
+        gram_univariate(GAUSS, X), gram_cross(GAUSS, X, Y), gram_univariate(GAUSS, Y), alpha
+    ).value
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("m", [12, 17])
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_tripartite_ignores_the_order_of_either_set(seed, m, alpha):
+    """The CIP is a grand mean and the entropy term a spectrum, so reordering
+    X alone or Y alone leaves the value unchanged, at n == m and n != m."""
+    xs, ys = _draws(seed, 12, m)
+    rng = np.random.default_rng(100 + seed)
+    expected = _tripartite(xs, ys, alpha)
+    assert _tripartite(xs[rng.permutation(12)], ys, alpha) == pytest.approx(expected, rel=1e-12)
+    assert _tripartite(xs, ys[rng.permutation(m)], alpha) == pytest.approx(expected, rel=1e-12)
+
+
+def _bipartite_values(xs, ys, alpha):
+    K1 = normalize_trace(gram_univariate(GAUSS, SampleSet(xs)))
+    K2 = normalize_trace(gram_univariate(GAUSS, SampleSet(ys)))
+    return (
+        nonmirrored_cross_entropy(K1, K2, alpha).value,
+        mirrored_cross_entropy(K1, K2, alpha).value,
+        mirrored_cross_entropy_two_param(K1, K2, alpha, max(alpha, 1.0 - alpha) + 0.25).value,
+        mirrored_limit_umegaki(K1, K2).value,
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0])
+def test_bipartite_measures_ignore_a_joint_permutation(seed, alpha):
+    """Permuting both sets by the same permutation conjugates both Grams by
+    one permutation matrix, which leaves every bipartite value unchanged."""
+    xs, ys = _draws(seed, 12, 12)
+    perm = np.random.default_rng(200 + seed).permutation(12)
+    expected = _bipartite_values(xs, ys, alpha)
+    assert all(math.isfinite(v) for v in expected)
+    got = _bipartite_values(xs[perm], ys[perm], alpha)
+    for g, e in zip(got, expected):
+        assert g == pytest.approx(e, rel=1e-12)
 
 
 # -------------------------------------------------------------------- entropy

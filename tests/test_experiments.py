@@ -557,3 +557,62 @@ def test_cli_properties_rejects_unknown_config_key(tmp_path, capsys):
     cfg = write(tmp_path, "cfg.json", json.dumps({"n_seed": 1}))
     assert main(["properties", "--config", cfg]) == 1
     assert "n_seed" in capsys.readouterr().err
+
+
+def test_result_columns_pin_the_csv_header_and_the_sort_key():
+    assert RESULT_COLUMNS == (
+        "experiment", "kernel", "alpha", "parameter", "measure",
+        "value", "n", "m", "d", "seed",
+    )
+    row = small_table()[0]
+    assert row.key() == (
+        row.experiment, row.kernel, row.alpha, row.parameter, row.measure,
+        row.n, row.m, row.d, row.seed,
+    )
+
+
+@pytest.mark.parametrize("command", ["tripartite", "properties"])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_cli_names_a_negative_seed(command, source, tmp_path, monkeypatch, capsys):
+    """A negative seed is rejected by name before any draw is seeded."""
+    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
+    argv = [command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "config":
+        argv += ["--config", write(tmp_path, "cfg.json", json.dumps({"seed": -1}))]
+    else:
+        monkeypatch.setenv("GRAMXENT_SEED", "-1")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, config, named",
+    [
+        ("convergence", ["--shift", "3"], {}, "shift_grid"),
+        ("convergence", ["--scale", "9"], {}, "scale_grid"),
+        ("convergence", [], {"m": 7}, "m"),
+        ("mean-shift", ["--scale", "2"], {}, "scale_grid"),
+        ("mean-shift", [], {"m": 7}, "m"),
+        ("variance-scale", ["--shift", "1"], {}, "shift_grid"),
+        ("variance-scale", [], {"m": 7}, "m"),
+    ],
+)
+def test_runners_reject_fields_they_never_read(command, extra, config, named, tmp_path, capsys):
+    """A setting the runner would drop is an error that names it."""
+    cfg = write(tmp_path, "cfg.json", json.dumps({
+        "n_grid": [8], "d_grid": [2], "alpha_grid": [2.0], "replicates": 1, **config,
+    }))
+    assert main([command, "--config", cfg, *extra]) == 1
+    assert f"does not use {named};" in capsys.readouterr().err
+
+
+def test_unread_field_at_its_default_is_accepted():
+    cfg = default_config(
+        "convergence", n_grid=(8,), d_grid=(2,), alpha_grid=(2.0,), replicates=1,
+        shift_grid=(0.0,), scale_grid=(1.0,), m=None,
+    )
+    assert len(run_convergence(cfg)) == 2

@@ -65,7 +65,7 @@ def _calls():
         "two-param": (lambda: mirrored_cross_entropy_two_param(K1, K2, 0.5, 0.75), 3),
         "umegaki": (lambda: mirrored_limit_umegaki(K1, K2), 2),
         "tripartite-square": (
-            lambda: tripartite_cross_entropy(G1, gram_cross(GAUSS, X, Y), G2, 2.0), 2
+            lambda: tripartite_cross_entropy(G1, gram_cross(GAUSS, X, Y), G2, 2.0), 1
         ),
         "tripartite-nonsquare": (
             lambda: tripartite_cross_entropy(G1, gram_cross(GAUSS, X, Z), G3, 2.0), 1
@@ -277,9 +277,3 @@ def test_support_reports_match_support_included(label, K1, K2):
         _assert_same_report(res.support_reverse, support_included(B, A))
     if label == "rank-deficient-K2":
         assert not support_included(K2, K1).included  # the +inf path ran
-
-
-def test_tripartite_square_report_matches_support_included():
-    X, Y, G1, G2 = _grams(6, 10, 10)
-    res = tripartite_cross_entropy(G1, gram_cross(GAUSS, X, Y), G2, 2.0)
-    _assert_same_report(res.support, support_included(G2, G1))
