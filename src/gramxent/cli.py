@@ -8,6 +8,7 @@ GRAMXENT_SEED environment variable supplies a default seed; an explicit
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -21,12 +22,7 @@ from .experiments import (
     emit_results,
 )
 from .kernels import FAMILIES, GAUSSIAN, KernelSpec
-from .verification import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_SIZES,
-    TAMPER_MODES,
-    run_property_suite,
-)
+from .verification import TAMPER_MODES, run_property_suite
 
 # Config-file keys and their types. An experiment takes every ExperimentConfig
 # field but its name, with the kernel as a family name plus a bandwidth; flag
@@ -37,11 +33,11 @@ _EXPERIMENT_KEYS = {
     "sigma": float | None,
 }
 del _EXPERIMENT_KEYS["experiment"]
+# The property suite's keys, types and defaults are its annotated parameters;
+# tamper, unannotated, is a flag only.
+_SUITE = inspect.signature(run_property_suite)
 _PROPERTY_KEYS = {
-    "seed": int,
-    "sizes": tuple[int, ...],
-    "alpha_grid": tuple[float, ...],
-    "n_seeds": int,
+    name: p.annotation for name, p in _SUITE.parameters.items() if p.annotation is not p.empty
 }
 
 
@@ -118,9 +114,10 @@ def _run_experiment(experiment, args):
 
 
 def _run_properties(args):
-    settings = {"sizes": DEFAULT_SIZES, "alpha_grid": DEFAULT_ALPHA_GRID, "n_seeds": 20}
-    settings.update(_settings(args, _PROPERTY_KEYS))
-    reports = run_property_suite(**settings, tamper=args.tamper)
+    call = _SUITE.bind(**_settings(args, _PROPERTY_KEYS), tamper=args.tamper)
+    call.apply_defaults()
+    settings = call.arguments
+    reports = run_property_suite(**settings)
     payload = {
         "seed": settings["seed"],
         "sizes": list(settings["sizes"]),

@@ -43,9 +43,7 @@ class Alpha:
     """A validated cross-entropy order.
 
     Must be positive and bounded away from 1 (|value - 1| >= 1e-6); the
-    a -> 1 limit is served by mirrored_limit_umegaki. ``mirrored_dpi_safe``
-    flags the orders (>= 1/2) where the mirrored measure's data-processing
-    guarantee holds; construction outside that range is still allowed.
+    a -> 1 limit is served by mirrored_limit_umegaki.
     """
 
     value: float
@@ -60,10 +58,6 @@ class Alpha:
                 "use mirrored_limit_umegaki for the limit at 1"
             )
         object.__setattr__(self, "value", v)
-
-    @property
-    def mirrored_dpi_safe(self):
-        return self.value >= 0.5
 
 
 def _as_alpha(alpha):

@@ -79,6 +79,15 @@ class ExperimentConfig:
         for f in fields(self):
             if typing.get_origin(f.type) is tuple and len(getattr(self, f.name)) == 0:
                 raise ArgumentError(f"{f.name} must be non-empty")
+        for name in ("n_grid", "d_grid"):
+            if min(getattr(self, name)) < 1:
+                raise ArgumentError(f"{name} entries must be >= 1, got {getattr(self, name)}")
+        if self.m is not None and self.m < 1:
+            raise ArgumentError(f"m must be >= 1, got {self.m}")
+        if not all(0 < x < np.inf for x in self.scale_grid):
+            raise ArgumentError(
+                f"scale_grid entries must be positive and finite, got {self.scale_grid}"
+            )
         if self.replicates < 1:
             raise ArgumentError("replicates must be >= 1")
         if self.seed < 0:
@@ -193,16 +202,6 @@ def _child_seed(base, *path):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _families(config, default):
-    if config.kernel is not None:
-        return (config.kernel.family,)
-    return default
-
-
-def _bandwidth(config):
-    return config.kernel.bandwidth if config.kernel is not None else 1.0
-
-
 def _check_unread(config, *names):
     """Reject a field the runner never reads unless it keeps its field default,
     so a setting is never dropped without a word."""
@@ -240,7 +239,7 @@ def run_convergence(config):
     if config.experiment != "convergence":
         raise ArgumentError("config.experiment must be 'convergence'")
     _check_unread(config, "shift_grid", "scale_grid", "m")
-    spec = config.kernel or KernelSpec(GAUSSIAN, _bandwidth(config))
+    spec = config.kernel or KernelSpec(GAUSSIAN, 1.0)
     rows = []
     for di, d in enumerate(config.d_grid):
         for ni, n in enumerate(config.n_grid):
@@ -277,8 +276,8 @@ def _sweep_rows(config, grid, blue_builder):
     n = _one_value(config, "n_grid")
     d = _one_value(config, "d_grid")
     rows = []
-    for family in _families(config, (GAUSSIAN, EXP_INNER_PRODUCT)):
-        spec = KernelSpec(family, _bandwidth(config))
+    specs = (KernelSpec(GAUSSIAN, 1.0), KernelSpec(EXP_INNER_PRODUCT, 1.0))
+    for spec in (config.kernel,) if config.kernel else specs:
         for r in range(config.replicates):
             red = sample_gaussian(
                 _child_seed(config.seed, r, 0), n, d, scale=config.sample_scale
@@ -290,7 +289,7 @@ def _sweep_rows(config, grid, blue_builder):
             for p in grid:
                 blue = SampleSet(blue_builder(blue_base, float(p), config))
                 rows += _bipartite_rows(
-                    config.experiment, family, K_red,
+                    config.experiment, spec.family, K_red,
                     normalize_trace(gram_univariate(spec, blue)),
                     p, d, r, config.alpha_grid,
                 )

@@ -100,10 +100,6 @@ class CrossGram:
 
     values: np.ndarray
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 def eval_kernel(spec, s, a):
     """Evaluate the kernel on a single pair of d-vectors.

@@ -30,9 +30,22 @@ from .kernels import (
     normalize_trace,
 )
 
-DEFAULT_SIZES = (4, 16, 64)
-DEFAULT_ALPHA_GRID = (0.3, 0.5, 0.7, 1.5, 2.0, 4.0)
 TAMPER_MODES = ("scaling",)
+
+# Every property the suite checks and its tolerance, in report order.
+_TOLERANCES = {
+    "nullity": 1e-10,
+    "non-negativity": 1e-10,
+    "cip-non-negativity": 1e-12,
+    "unitary-invariance": 1e-9,
+    "scaling-law": 1e-9,
+    "tensor-additivity": 1e-8,
+    "order-monotonicity": 1e-10,
+    "measure-ordering": 1e-10,
+    "pinching-dpi": 1e-9,
+    "continuity": 1e-3,
+    "midpoint-convexity": 1e-9,
+}
 
 
 @dataclass(frozen=True)
@@ -151,22 +164,9 @@ def _measures(pair, a):
     return pair.nonmirrored(a).value, pair.mirrored(a, a).value
 
 
-@dataclass(frozen=True)
-class _Instance:
-    """One randomly drawn test instance: four unit-trace Grams plus the raw
-    sample-level triple used by the tripartite checks."""
-
-    n: int
-    K1: GramMatrix
-    K2: GramMatrix
-    K3: GramMatrix
-    K4: GramMatrix
-    G1_raw: GramMatrix
-    G2_raw: GramMatrix
-    C12: CrossGram
-
-
 def _draw_instance(seed, k, size_index, n, spec):
+    """One random test instance: four unit-trace Grams, then the raw Grams of
+    the first two sample sets and their cross Gram for the tripartite checks."""
     # d = 5 keeps the worst-case condition number across draws near 1.5e2;
     # the inverse-power round-trips (order 4 needs K^-3) lose roughly
     # eps * cond^2, so this leaves two orders of magnitude under the
@@ -175,26 +175,16 @@ def _draw_instance(seed, k, size_index, n, spec):
     for j in range(4):
         rng = np.random.default_rng(_child_seed(seed, k, size_index, j))
         xs.append(SampleSet(rng.standard_normal((n, 5))))
-    grams_raw = [gram_univariate(spec, X) for X in xs]
-    grams = [normalize_trace(g) for g in grams_raw]
-    C12 = gram_cross(spec, xs[0], xs[1])
-    return _Instance(
-        n=n,
-        K1=grams[0],
-        K2=grams[1],
-        K3=grams[2],
-        K4=grams[3],
-        G1_raw=grams_raw[0],
-        G2_raw=grams_raw[1],
-        C12=C12,
-    )
+    raw = [gram_univariate(spec, X) for X in xs]
+    grams = tuple(normalize_trace(g) for g in raw)
+    return grams, (raw[0], raw[1]), gram_cross(spec, xs[0], xs[1])
 
 
 def run_property_suite(
-    seed=0,
-    sizes=DEFAULT_SIZES,
-    alpha_grid=DEFAULT_ALPHA_GRID,
-    n_seeds=20,
+    seed: int = 0,
+    sizes: tuple[int, ...] = (4, 16, 64),
+    alpha_grid: tuple[float, ...] = (0.3, 0.5, 0.7, 1.5, 2.0, 4.0),
+    n_seeds: int = 20,
     tamper=None,
 ):
     """Run every property family on random instances; return a report list.
@@ -215,51 +205,40 @@ def run_property_suite(
     alphas = sorted(float(a) for a in alpha_grid)
     spec = KernelSpec()
 
-    nullity = _Tally("nullity", 1e-10)
-    nonneg = _Tally("non-negativity", 1e-10)
-    cip_nonneg = _Tally("cip-non-negativity", 1e-12)
-    invariance = _Tally("unitary-invariance", 1e-9)
-    scaling = _Tally("scaling-law", 1e-9)
-    additivity = _Tally("tensor-additivity", 1e-8)
-    monotone = _Tally("order-monotonicity", 1e-10)
-    ordering = _Tally("measure-ordering", 1e-10)
-    dpi = _Tally("pinching-dpi", 1e-9)
-    continuity = _Tally("continuity", 1e-3)
-    convexity = _Tally("midpoint-convexity", 1e-9)
+    tally = {name: _Tally(name, tol) for name, tol in _TOLERANCES.items()}
 
     tamper_offset = 1e-3 if tamper == "scaling" else 0.0
     rho1, rho2 = 1.7, 0.4
 
     for k in range(n_seeds):
         for si, n in enumerate(sizes):
-            inst = _draw_instance(seed, k, si, n, spec)
-            K1, K2 = inst.K1, inst.K2
+            (K1, K2, K3, K4), (G1, G2), C12 = _draw_instance(seed, k, si, n, spec)
             # one decomposed pair per compared matrix pair; the base values
             # are reused by several checks below
             base = _Pair(K1, K2)
             c_non = {a: base.nonmirrored(a).value for a in alphas}
             c_mir = {a: base.mirrored(a, a).value for a in alphas}
             # the tripartite triple reads K1's spectrum off the raw pair
-            G1, G2, C12 = inst.G1_raw, inst.G2_raw, inst.C12
             unscaled = _Pair(G1, G2, raw=True)
             tri = _Triple(G1, C12, G2, unscaled.e1)
             c_tri = {a: tri.result(a).value for a in alphas}
-            cip_nonneg.add(max(0.0, -tri.cip))
+            tally["cip-non-negativity"].add(max(0.0, -tri.cip))
 
             same = _Pair(K1, K1)
             for a in alphas:
                 for value in _measures(same, a):
-                    nullity.add(abs(value))
-                nonneg.add(max(0.0, -c_non[a]))
-                nonneg.add(max(0.0, -c_mir[a]))
+                    tally["nullity"].add(abs(value))
+                tally["non-negativity"].add(max(0.0, -c_non[a]))
+                tally["non-negativity"].add(max(0.0, -c_mir[a]))
 
             Q = random_orthogonal(_child_seed(seed, k, si, 100), n)
             conj = _Pair(_conjugate(Q, K1), _conjugate(Q, K2))
             for a in alphas:
                 beta = max(a, 1.0 - a)
-                invariance.add(abs(conj.nonmirrored(a).value - c_non[a]))
-                invariance.add(abs(conj.mirrored(a, a).value - c_mir[a]))
-                invariance.add(abs(conj.mirrored(a, beta).value - base.mirrored(a, beta).value))
+                tally["unitary-invariance"].add(abs(conj.nonmirrored(a).value - c_non[a]))
+                tally["unitary-invariance"].add(abs(conj.mirrored(a, a).value - c_mir[a]))
+                gap = conj.mirrored(a, beta).value - base.mirrored(a, beta).value
+                tally["unitary-invariance"].add(abs(gap))
 
             S1 = _scaled(G1, rho1)
             scaled = _Pair(S1, _scaled(G2, rho2), raw=True)
@@ -267,30 +246,30 @@ def run_property_suite(
             expected = math.log(rho1 / rho2)
             for a in alphas:
                 for whole, part in zip(_measures(scaled, a), _measures(unscaled, a)):
-                    scaling.add(abs(whole - part - expected) + tamper_offset)
+                    tally["scaling-law"].add(abs(whole - part - expected) + tamper_offset)
                 gap = tri_scaled.result(a).value - c_tri[a] - math.log(rho1) / (a - 1.0)
-                scaling.add(abs(gap) + tamper_offset)
+                tally["scaling-law"].add(abs(gap) + tamper_offset)
 
             for lo, hi in zip(alphas, alphas[1:]):
-                monotone.add(max(0.0, c_non[lo] - c_non[hi]))
-                monotone.add(max(0.0, c_mir[lo] - c_mir[hi]))
+                tally["order-monotonicity"].add(max(0.0, c_non[lo] - c_non[hi]))
+                tally["order-monotonicity"].add(max(0.0, c_mir[lo] - c_mir[hi]))
                 # the tripartite CIP term has a pole at order 1, so its
                 # monotonicity only holds with both orders on the same side
                 same_side = (lo < 1.0) == (hi < 1.0)
                 if tri.cip < 1.0 and same_side:
-                    monotone.add(max(0.0, c_tri[lo] - c_tri[hi]))
+                    tally["order-monotonicity"].add(max(0.0, c_tri[lo] - c_tri[hi]))
 
             for a in (0.5, 2.0):
                 nm, mi = _measures(base, a)
-                ordering.add(max(0.0, mi - nm))
+                tally["measure-ordering"].add(max(0.0, mi - nm))
 
             part = halves(n)
             pinched = _Pair(pinch(K1, part), pinch(K2, part))
             for a in alphas:
                 if 0.0 < a <= 2.0:
-                    dpi.add(max(0.0, pinched.nonmirrored(a).value - c_non[a]))
+                    tally["pinching-dpi"].add(max(0.0, pinched.nonmirrored(a).value - c_non[a]))
                 if a >= 0.5:
-                    dpi.add(max(0.0, pinched.mirrored(a, a).value - c_mir[a]))
+                    tally["pinching-dpi"].add(max(0.0, pinched.mirrored(a, a).value - c_mir[a]))
 
             if base.e1.eigenvalues[-1] > 1e-3:
                 noise_rng = np.random.default_rng(_child_seed(seed, k, si, 300))
@@ -299,22 +278,22 @@ def run_property_suite(
                 noise = 1e-6 * S / np.linalg.norm(S)
                 perturbed = _Pair(normalize_trace(GramMatrix(K1.values + noise)), K2)
                 for a in alphas:
-                    continuity.add(abs(perturbed.nonmirrored(a).value - c_non[a]))
-                    continuity.add(abs(perturbed.mirrored(a, a).value - c_mir[a]))
+                    tally["continuity"].add(abs(perturbed.nonmirrored(a).value - c_non[a]))
+                    tally["continuity"].add(abs(perturbed.mirrored(a, a).value - c_mir[a]))
 
-            other = _Pair(inst.K3, inst.K4)
-            mixed = _Pair(_mix(K1, inst.K3), _mix(K2, inst.K4), raw=True)
+            other = _Pair(K3, K4)
+            mixed = _Pair(_mix(K1, K3), _mix(K2, K4), raw=True)
             for a in alphas:
                 if a != 1.0 and a <= 2.0:
                     mid = mixed.nonmirrored_trace(a)
                     avg = 0.5 * (base.nonmirrored_trace(a) + other.nonmirrored_trace(a))
                     gap = mid - avg if a > 1.0 else avg - mid
-                    convexity.add(max(0.0, gap))
+                    tally["midpoint-convexity"].add(max(0.0, gap))
                 if a >= 0.5:
                     mid, _ = mixed.mirrored_trace(a, a)
                     avg = 0.5 * (base.mirrored_trace(a, a)[0] + other.mirrored_trace(a, a)[0])
                     gap = mid - avg if a > 1.0 else avg - mid
-                    convexity.add(max(0.0, gap))
+                    tally["midpoint-convexity"].add(max(0.0, gap))
 
         # tensor additivity on a small kron pair, once per seed
         a1 = random_gram(_child_seed(seed, k, 200), 2)
@@ -330,21 +309,6 @@ def run_property_suite(
             for whole, p1, p2 in zip(
                 _measures(kron, a), _measures(first, a), _measures(second, a)
             ):
-                additivity.add(abs(whole - (p1 + p2)))
+                tally["tensor-additivity"].add(abs(whole - (p1 + p2)))
 
-    return [
-        t.report()
-        for t in (
-            nullity,
-            nonneg,
-            cip_nonneg,
-            invariance,
-            scaling,
-            additivity,
-            monotone,
-            ordering,
-            dpi,
-            continuity,
-            convexity,
-        )
-    ]
+    return [t.report() for t in tally.values()]

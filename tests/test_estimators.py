@@ -14,6 +14,7 @@ from gramxent import (
     Alpha,
     ArgumentError,
     ContractError,
+    CrossGram,
     DegenerateMatrixError,
     GramMatrix,
     KernelSpec,
@@ -73,12 +74,6 @@ def test_alpha_rejects_nonpositive_or_nonfinite(bad):
 def test_alpha_rejects_neighborhood_of_one(near_one):
     with pytest.raises(ArgumentError, match="mirrored_limit_umegaki"):
         Alpha(near_one)
-
-
-def test_alpha_dpi_flag():
-    assert Alpha(0.5).mirrored_dpi_safe
-    assert Alpha(2.0).mirrored_dpi_safe
-    assert not Alpha(0.3).mirrored_dpi_safe
 
 
 # --------------------------------------------------------- bipartite measures
@@ -158,6 +153,27 @@ def test_flagged_unit_trace_with_wrong_trace_is_rejected():
     lying = GramMatrix(np.eye(3), normalization=UNIT_TRACE)  # trace 3
     with pytest.raises(ContractError):
         nonmirrored_cross_entropy(lying, lying, 2.0)
+
+
+def test_bipartite_rejects_a_plain_array_for_k1():
+    K2 = GramMatrix(np.eye(4) / 4, normalization=UNIT_TRACE)
+    with pytest.raises(ArgumentError, match="K1 must be a GramMatrix"):
+        nonmirrored_cross_entropy(np.eye(4) / 4, K2, 2.0)
+
+
+def test_bipartite_rejects_a_size_mismatch():
+    K4 = GramMatrix(np.eye(4) / 4, normalization=UNIT_TRACE)
+    K5 = GramMatrix(np.eye(5) / 5, normalization=UNIT_TRACE)
+    with pytest.raises(ArgumentError, match="size mismatch: 4 vs 5"):
+        nonmirrored_cross_entropy(K4, K5, 2.0)
+
+
+def test_nonmirrored_reports_a_collapsed_trace():
+    """A raw K1 with no positive eigenvalue clamps to zero and leaves no trace."""
+    with pytest.raises(NumericalDegeneracyError, match="collapsed") as exc:
+        nonmirrored_cross_entropy(GramMatrix(-np.eye(3)), GramMatrix(np.eye(3)), 2.0, raw=True)
+    assert exc.value.trace_value == 0.0
+    assert exc.value.clamp_count == 3
 
 
 # ---------------------------------------------------------------- two-param
@@ -273,6 +289,19 @@ def test_tripartite_cross_gram_must_be_a_cross_gram():
     K1, K12, K2 = one_point_grams(0.0, 1.0)
     with pytest.raises(ArgumentError, match="CrossGram"):
         tripartite_cross_entropy(K1, K12.values, K2, 2.0)
+
+
+def test_tripartite_rejects_a_plain_array_for_k1():
+    K1, K12, K2 = one_point_grams(0.0, 1.0)
+    with pytest.raises(ArgumentError, match="GramMatrix"):
+        tripartite_cross_entropy(K1.values, K12, K2, 2.0)
+
+
+def test_tripartite_rejects_a_zero_trace_k1():
+    """With a positive CIP the entropy term needs tr(K1) > 0."""
+    K1, K12 = GramMatrix(np.zeros((2, 2))), CrossGram(np.zeros((2, 2)))
+    with pytest.raises(DegenerateMatrixError, match="nonpositive trace"):
+        tripartite_cross_entropy(K1, K12, GramMatrix(np.eye(2)), 2.0)
 
 
 def test_tripartite_has_no_support_report():

@@ -1,6 +1,7 @@
 """Sample loading, experiment runners, result serialization, and the CLI."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -25,12 +26,13 @@ from gramxent import (
     parse_results_csv,
     run_convergence,
     run_mean_shift,
+    run_property_suite,
     run_tripartite,
     run_variance_scale,
     sample_gaussian,
     tripartite_cross_entropy,
 )
-from gramxent.cli import main
+from gramxent.cli import _PROPERTY_KEYS, main
 from gramxent.experiments import RESULT_COLUMNS, RUNNERS, _child_seed, _scaled_blue, _shifted_blue
 
 
@@ -162,6 +164,13 @@ def test_every_runner_has_defaults_and_nothing_else():
 def test_runner_rejects_mismatched_config():
     with pytest.raises(ArgumentError):
         run_convergence(default_config("mean-shift"))
+    for runner, other in (
+        (run_mean_shift, "convergence"),
+        (run_variance_scale, "tripartite"),
+        (run_tripartite, "variance-scale"),
+    ):
+        with pytest.raises(ArgumentError, match="config.experiment must be"):
+            runner(default_config(other))
 
 
 # -------------------------------------------------------------------- runners
@@ -358,6 +367,12 @@ def test_emit_rejects_unknown_format(tmp_path):
 def test_parse_rejects_foreign_header(tmp_path):
     path = write(tmp_path, "bad.csv", "a,b,c\n1,2,3\n")
     with pytest.raises(ParseError):
+        parse_results_csv(path)
+
+
+def test_parse_rejects_a_row_of_the_wrong_width(tmp_path):
+    path = write(tmp_path, "short.csv", ",".join(RESULT_COLUMNS) + "\n1,2,3\n")
+    with pytest.raises(ParseError, match=":2: wrong column count"):
         parse_results_csv(path)
 
 
@@ -616,3 +631,76 @@ def test_unread_field_at_its_default_is_accepted():
         shift_grid=(0.0,), scale_grid=(1.0,), m=None,
     )
     assert len(run_convergence(cfg)) == 2
+
+
+@pytest.mark.parametrize(
+    "command, extra, config, named",
+    [
+        ("variance-scale", ["--scale", "-2"], {}, "scale_grid"),
+        ("variance-scale", ["--scale", "0"], {}, "scale_grid"),
+        ("variance-scale", ["--scale", "inf"], {}, "scale_grid"),
+        ("tripartite", [], {"scale_grid": [1.0, -0.5]}, "scale_grid"),
+        ("convergence", ["--n", "-1"], {}, "n_grid"),
+        ("mean-shift", ["--n", "0"], {}, "n_grid"),
+        ("convergence", ["--d", "0"], {}, "d_grid"),
+        ("tripartite", [], {"m": 0}, "m"),
+    ],
+)
+def test_cli_names_a_nonpositive_size_or_scale(command, extra, config, named, tmp_path, capsys):
+    """A size below 1 or a scale that is not positive and finite is rejected by
+    name before any draw."""
+    cfg = write(tmp_path, "cfg.json", json.dumps(config))
+    assert main([command, "--config", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {named} " in err
+    assert "Traceback" not in err
+
+
+# Per property-suite config key: the file value and the argument it gives,
+# then a flag and the argument the flag gives over the file.
+PROPERTY_KEY_CASES = {
+    "seed": (3, 3, ["--seed", "5"], 5),
+    "sizes": ([4], (4,), ["--n", "8"], (8,)),
+    "alpha_grid": ([0.5, 2], (0.5, 2), ["--alpha", "4"], (4.0,)),
+    "n_seeds": (2, 2, ["--seeds", "1"], 1),
+}
+
+
+def test_property_keys_are_the_suite_parameters_but_tamper():
+    params = set(inspect.signature(run_property_suite).parameters)
+    assert set(_PROPERTY_KEYS) == params - {"tamper"}
+    assert set(PROPERTY_KEY_CASES) == set(_PROPERTY_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(PROPERTY_KEY_CASES))
+def test_property_key_lands_on_its_parameter_and_flag_wins(key, tmp_path, monkeypatch):
+    file_value, from_file, flag, from_flag = PROPERTY_KEY_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
+    seen = []
+    monkeypatch.setattr(
+        "gramxent.cli.run_property_suite", lambda **kwargs: seen.append(kwargs) or []
+    )
+    write(tmp_path, "cfg.json", json.dumps({key: file_value}))
+    assert main(["properties", "--config", "cfg.json", "--out", "out.json"]) == 0
+    assert seen[-1][key] == from_file
+    assert seen[-1]["tamper"] is None
+    assert main(["properties", "--config", "cfg.json", "--out", "out.json", *flag]) == 0
+    assert seen[-1][key] == from_flag
+
+
+def test_property_config_leaves_unset_keys_at_the_suite_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
+    seen = []
+    monkeypatch.setattr(
+        "gramxent.cli.run_property_suite", lambda **kwargs: seen.append(kwargs) or []
+    )
+    assert main(["properties", "--out", str(tmp_path / "out.json")]) == 0
+    params = inspect.signature(run_property_suite).parameters
+    assert seen == [{name: p.default for name, p in params.items()}]
+
+
+def test_cli_properties_tamper_is_not_a_config_key(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", json.dumps({"tamper": "scaling"}))
+    assert main(["properties", "--config", cfg]) == 1
+    assert "unknown config keys: ['tamper']" in capsys.readouterr().err

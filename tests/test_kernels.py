@@ -68,6 +68,11 @@ def test_eval_dimension_mismatch():
         eval_kernel(GAUSS, np.zeros(2), np.zeros(3))
 
 
+def test_eval_rejects_nan_input():
+    with pytest.raises(ArgumentError, match="non-finite"):
+        eval_kernel(GAUSS, np.array([np.nan, 0.0]), np.zeros(2))
+
+
 def test_eval_eip_overflow():
     s = np.array([30.0, 0.0])
     with pytest.raises(KernelOverflowError) as exc:
@@ -87,6 +92,8 @@ def test_sample_set_validation():
         SampleSet(np.ones(4))  # not 2-d
     with pytest.raises(ArgumentError):
         SampleSet(np.array([[1.0, np.nan]]))
+    with pytest.raises(ArgumentError, match="n >= 1"):
+        SampleSet(np.zeros((0, 2)))
 
 
 # ------------------------------------------------------------- gram matrices

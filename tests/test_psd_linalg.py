@@ -60,6 +60,11 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig(GramMatrix(M))
 
 
+def test_sym_eig_rejects_a_non_square_array():
+    with pytest.raises(ArgumentError, match="square matrix, got shape \\(2, 3\\)"):
+        sym_eig(np.zeros((2, 3)))
+
+
 # --------------------------------------------------------------- matrix_power
 
 def test_power_identity_exponent_is_copy():
