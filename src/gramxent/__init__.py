@@ -7,6 +7,8 @@ suite; ``gramxent.experiments`` and the ``gramxent`` CLI reproduce the
 synthetic-data sweeps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ArgumentError,
     ContractError,
@@ -17,7 +19,6 @@ from .errors import (
     ParseError,
 )
 from .estimators import (
-    Alpha,
     CrossEntropyResult,
     conditional_entropy,
     joint_entropy,
@@ -78,61 +79,9 @@ from .verification import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alpha",
-    "ArgumentError",
-    "ContractError",
-    "CrossEntropyResult",
-    "CrossGram",
-    "DegenerateMatrixError",
-    "EigenDecomposition",
-    "EXP_INNER_PRODUCT",
-    "ExperimentConfig",
-    "GAUSSIAN",
-    "GramMatrix",
-    "GramxentError",
-    "KernelOverflowError",
-    "KernelSpec",
-    "NumericalDegeneracyError",
-    "ParseError",
-    "Partition",
-    "PropertyReport",
-    "RAW",
-    "ResultRow",
-    "SampleSet",
-    "SupportReport",
-    "UNIT_TRACE",
-    "conditional_entropy",
-    "default_config",
-    "emit_results",
-    "eval_kernel",
-    "gram_cross",
-    "gram_univariate",
-    "hadamard_joint",
-    "joint_entropy",
-    "load_csv",
-    "parse_results_csv",
-    "matrix_log",
-    "matrix_power",
-    "matrix_renyi_entropy",
-    "mirrored_cross_entropy",
-    "mirrored_cross_entropy_two_param",
-    "mirrored_limit_umegaki",
-    "mutual_information",
-    "nonmirrored_cross_entropy",
-    "normalize_trace",
-    "pinch",
-    "random_gram",
-    "random_orthogonal",
-    "run_convergence",
-    "run_mean_shift",
-    "run_property_suite",
-    "run_tripartite",
-    "run_variance_scale",
-    "sample_gaussian",
-    "support_included",
-    "sym_eig",
-    "trace_distance_bounds",
-    "trace_product",
-    "tripartite_cross_entropy",
-]
+# The public API: every imported name but the submodules.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

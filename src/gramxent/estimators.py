@@ -38,30 +38,21 @@ ZERO_CIP_FLOOR = 1e-300
 DEGENERATE_ZERO_CIP = "zero-cip"
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """A validated cross-entropy order.
+def _order(alpha):
+    """``alpha`` as a float cross-entropy order.
 
-    Must be positive and bounded away from 1 (|value - 1| >= 1e-6); the
-    a -> 1 limit is served by mirrored_limit_umegaki.
+    Must be positive, finite and bounded away from 1 (|alpha - 1| >= 1e-6);
+    the a -> 1 limit is served by mirrored_limit_umegaki.
     """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (v > 0) or not math.isfinite(v):
-            raise ArgumentError(f"order must be a positive finite real, got {self.value!r}")
-        if abs(v - 1.0) < ALPHA_UNIT_GAP:
-            raise ArgumentError(
-                f"order {v!r} is within {ALPHA_UNIT_GAP} of 1; "
-                "use mirrored_limit_umegaki for the limit at 1"
-            )
-        object.__setattr__(self, "value", v)
-
-
-def _as_alpha(alpha):
-    return alpha if isinstance(alpha, Alpha) else Alpha(float(alpha))
+    a = float(alpha)
+    if not (a > 0) or not math.isfinite(a):
+        raise ArgumentError(f"order must be a positive finite real, got {a!r}")
+    if abs(a - 1.0) < ALPHA_UNIT_GAP:
+        raise ArgumentError(
+            f"order {a!r} is within {ALPHA_UNIT_GAP} of 1; "
+            "use mirrored_limit_umegaki for the limit at 1"
+        )
+    return a
 
 
 @dataclass(frozen=True)
@@ -73,8 +64,6 @@ class CrossEntropyResult:
     test gates, leaves it None. ``clamp_count`` totals the
     eigenvalues clamped across every spectral function in the evaluation.
     ``entropy_term`` is only set by the tripartite measure.
-    ``support_reverse`` is only set by the Umegaki limit (both directions are
-    checked there).
     """
 
     value: float
@@ -83,7 +72,6 @@ class CrossEntropyResult:
     clamp_count: int = 0
     degenerate: str | None = None
     entropy_term: float | None = None
-    support_reverse: SupportReport | None = None
 
 
 def _check_trace_contract(K, name, raw):
@@ -156,14 +144,13 @@ class _Pair:
         eig = sym_eig(B.T @ B, vectors=False)
         return eig.power_sum(beta), eig.clamp_count
 
-    def _result(self, alpha, name, t, clamped):
+    def _result(self, a, name, t, clamped):
         """(a-1)^-1 [log t - log tr(K1)] for the trace t of an included pair."""
         clamp_count = self.e1.clamp_count + self.e2.clamp_count + clamped
         if not (t > 0):
             raise NumericalDegeneracyError(
                 f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
             )
-        a = alpha.value
         value = (math.log(t) - _log_trace_term(self.K1, self.raw)) / (a - 1.0)
         return CrossEntropyResult(
             value=value, alpha=a, support=self.support, clamp_count=clamp_count
@@ -171,29 +158,24 @@ class _Pair:
 
     def nonmirrored(self, alpha):
         """The nonmirrored measure at ``alpha``; +inf when supp K1 is not inside supp K2."""
-        alpha = _as_alpha(alpha)
+        a = _order(alpha)
         if not self.support.included:
-            return CrossEntropyResult(value=math.inf, alpha=alpha.value, support=self.support)
-        return self._result(alpha, "nonmirrored", self.nonmirrored_trace(alpha.value), 0)
+            return CrossEntropyResult(value=math.inf, alpha=a, support=self.support)
+        return self._result(a, "nonmirrored", self.nonmirrored_trace(a), 0)
 
     def mirrored(self, alpha, beta):
         """The two-parameter mirrored measure; beta = alpha is the one-parameter one."""
-        alpha = _as_alpha(alpha)
+        a = _order(alpha)
         if not self.support.included:
-            return CrossEntropyResult(value=math.inf, alpha=alpha.value, support=self.support)
-        t, clamped = self.mirrored_trace(alpha.value, beta)
-        return self._result(alpha, "mirrored", t, clamped)
+            return CrossEntropyResult(value=math.inf, alpha=a, support=self.support)
+        t, clamped = self.mirrored_trace(a, beta)
+        return self._result(a, "mirrored", t, clamped)
 
     def umegaki(self):
-        """The order-1 limit tr(K1 (log K1 - log K2)) / tr(K1), both supports reported."""
-        reverse = _support_report(self.e2, self.e1, self.overlap.T)
+        """The order-1 limit tr(K1 (log K1 - log K2)) / tr(K1)."""
         if not self.support.included:
-            return CrossEntropyResult(
-                value=math.inf, alpha=1.0, support=self.support, support_reverse=reverse
-            )
-        # included with a rank-0 K2 forces a rank-0 K1, so one check covers both logs
-        if self.e1.rank == 0:
-            raise DegenerateMatrixError("matrix_log: matrix has numerical rank 0")
+            return CrossEntropyResult(value=math.inf, alpha=1.0, support=self.support)
+        # a rank-0 K1 (forced by an included rank-0 K2) has a nonpositive trace
         tr1 = _positive_trace(self.K1)
         # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
         log1 = self.e1.on_support(np.log)
@@ -205,20 +187,19 @@ class _Pair:
             alpha=1.0,
             support=self.support,
             clamp_count=self.e1.clamp_count + self.e2.clamp_count,
-            support_reverse=reverse,
         )
 
 
 def nonmirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     """Nonmirrored cross-entropy (a-1)^-1 [log tr(K1^a K2^(1-a)) - log tr(K1)]."""
-    alpha = _as_alpha(alpha)
-    return _Pair(K1, K2, raw).nonmirrored(alpha)
+    a = _order(alpha)
+    return _Pair(K1, K2, raw).nonmirrored(a)
 
 
 def mirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     """Mirrored (sandwiched) cross-entropy via tr((K2^((1-a)/2a) K1 K2^((1-a)/2a))^a)."""
-    alpha = _as_alpha(alpha)
-    return _Pair(K1, K2, raw).mirrored(alpha, alpha.value)
+    a = _order(alpha)
+    return _Pair(K1, K2, raw).mirrored(a, a)
 
 
 def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
@@ -229,19 +210,18 @@ def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
     beta >= max(alpha, 1 - alpha) for alpha in (0, 1); other values evaluate
     fine but carry no such guarantee.
     """
-    alpha = _as_alpha(alpha)
+    a = _order(alpha)
     beta = float(beta)
     if not (beta > 0) or not math.isfinite(beta):
         raise ArgumentError(f"beta must be a positive finite real, got {beta!r}")
-    return _Pair(K1, K2, raw).mirrored(alpha, beta)
+    return _Pair(K1, K2, raw).mirrored(a, beta)
 
 
 def mirrored_limit_umegaki(K1, K2, *, raw=False):
     """The order-1 limit of the mirrored measure: tr(K1 (log K1 - log K2)) / tr(K1).
 
-    +inf when supp(K1) is not contained in supp(K2). Both inclusion
-    directions are reported (``support`` gates, ``support_reverse`` is
-    informational).
+    +inf when supp(K1) is not contained in supp(K2), the inclusion that
+    ``support`` reports.
     """
     return _Pair(K1, K2, raw).umegaki()
 
@@ -281,7 +261,7 @@ class _Triple:
 
     def result(self, alpha):
         """The tripartite measure at ``alpha``; a zero CIP gives the -inf / +inf sentinel."""
-        a = _as_alpha(alpha).value
+        a = _order(alpha)
         if self.cip < ZERO_CIP_FLOOR:
             sentinel = -math.inf if a > 1.0 else math.inf
             return CrossEntropyResult(sentinel, a, degenerate=DEGENERATE_ZERO_CIP)
@@ -310,8 +290,8 @@ def tripartite_cross_entropy(K1, K12, K2, alpha):
     Non-finite entries in any of the three matrices and an asymmetric K1 or
     K2 are an ArgumentError.
     """
-    alpha = _as_alpha(alpha)
-    return _Triple(K1, K12, K2).result(alpha)
+    a = _order(alpha)
+    return _Triple(K1, K12, K2).result(a)
 
 
 def matrix_renyi_entropy(K, alpha):
@@ -320,17 +300,18 @@ def matrix_renyi_entropy(K, alpha):
     The maximally mixed identity/n maps to log n and any rank-one unit-trace
     matrix to 0, matching S_a(K) = log n - C_a(K || identity/n) exactly.
     """
-    alpha = _as_alpha(alpha)
+    a = _order(alpha)
     _check_trace_contract(K, "K", raw=False)
-    s = sym_eig(K, vectors=False).power_sum(alpha.value)
+    s = sym_eig(K, vectors=False).power_sum(a)
     if not (s > 0):
         raise DegenerateMatrixError("entropy of a rank-0 matrix")
-    return math.log(s) / (1.0 - alpha.value)
+    return math.log(s) / (1.0 - a)
 
 
 def joint_entropy(K1, K2, alpha):
     """Entropy of the unit-trace-normalized Hadamard product of K1 and K2."""
-    return matrix_renyi_entropy(hadamard_joint(K1, K2), alpha)
+    a = _order(alpha)
+    return matrix_renyi_entropy(hadamard_joint(K1, K2), a)
 
 
 def conditional_entropy(K1, K2, alpha):

@@ -88,12 +88,16 @@ class ExperimentConfig:
             raise ArgumentError(
                 f"scale_grid entries must be positive and finite, got {self.scale_grid}"
             )
+        if not all(np.isfinite(self.shift_grid)):
+            raise ArgumentError(f"shift_grid entries must be finite, got {self.shift_grid}")
         if self.replicates < 1:
             raise ArgumentError("replicates must be >= 1")
         if self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed}")
-        if not (self.sample_scale > 0):
-            raise ArgumentError("sample_scale must be positive")
+        if not (0 < self.sample_scale < np.inf):
+            raise ArgumentError(
+                f"sample_scale must be positive and finite, got {self.sample_scale}"
+            )
         if self.out_format not in ("csv", "json"):
             raise ArgumentError(f"format must be csv or json, got {self.out_format!r}")
 

@@ -38,8 +38,8 @@ class KernelSpec:
             raise ArgumentError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if not (self.bandwidth > 0):
-            raise ArgumentError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not (0 < self.bandwidth < np.inf):
+            raise ArgumentError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,17 @@ def _mirror_upper(K):
 
 
 def _kernel_block(spec, A, B):
-    """Kernel values between the rows of A (n x d) and B (m x d), n x m."""
-    if spec.family == GAUSSIAN:
-        D = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
-        np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
-        return np.exp(-spec.bandwidth * D)
-    E = spec.bandwidth * (A @ B.T)
+    """Kernel values between the rows of A (n x d) and B (m x d), n x m.
+
+    A bandwidth product overflowing to inf is the gaussian's exact limit
+    exp(-inf) = 0 and an exponential-inner-product KernelOverflowError.
+    """
+    with np.errstate(over="ignore"):
+        if spec.family == GAUSSIAN:
+            D = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+            np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
+            return np.exp(-spec.bandwidth * D)
+        E = spec.bandwidth * (A @ B.T)
     if np.max(E) > OVERFLOW_LIMIT:
         i, j = np.unravel_index(int(np.argmax(E)), E.shape)
         raise KernelOverflowError(i, j, E[i, j])
@@ -190,8 +195,4 @@ def hadamard_joint(G1, G2):
         raise ArgumentError(
             f"size mismatch: {G1.values.shape} vs {G2.values.shape}"
         )
-    P = G1.values * G2.values
-    tr = float(np.trace(P))
-    if not (tr > 0):
-        raise DegenerateMatrixError(f"Hadamard product has trace {tr:.6g}")
-    return GramMatrix(P / tr, normalization=UNIT_TRACE)
+    return normalize_trace(GramMatrix(G1.values * G2.values))

@@ -163,7 +163,7 @@ def matrix_log(G):
     return _spectral_apply(G, np.log, needs_rank=True, op_name="matrix_log")
 
 
-def _support_report(e_in, e_out, overlap, tol=DEFAULT_SUPPORT_TOL):
+def _support_report(e_in, e_out, overlap):
     """Support inclusion of ``e_in`` in ``e_out`` from their eigenbasis overlap.
 
     overlap = U_in^T U_out, so its block (support of in, nullspace of out)
@@ -173,28 +173,27 @@ def _support_report(e_in, e_out, overlap, tol=DEFAULT_SUPPORT_TOL):
     return SupportReport(
         rank_1=e_in.rank,
         rank_2=e_out.rank,
-        included=bool(residual <= tol),
+        included=bool(residual <= DEFAULT_SUPPORT_TOL),
         residual=residual,
-        tolerance=float(tol),
+        tolerance=DEFAULT_SUPPORT_TOL,
     )
 
 
-def support_included(inner, outer, tol=DEFAULT_SUPPORT_TOL):
+def support_included(inner, outer):
     """Test whether the support of ``inner`` lies inside the support of ``outer``.
 
     residual = || P0 @ U ||_F where U spans inner's numerical range and P0
-    projects onto outer's numerical nullspace; included iff residual <= tol.
+    projects onto outer's numerical nullspace; included iff residual <=
+    DEFAULT_SUPPORT_TOL.
     rank_1 is inner's rank, rank_2 is outer's.
     """
     A = _as_array(inner)
     B = _as_array(outer)
     if A.shape != B.shape:
         raise ArgumentError(f"size mismatch: {A.shape} vs {B.shape}")
-    if not (tol > 0):
-        raise ArgumentError(f"tolerance must be positive, got {tol}")
     eig_in = sym_eig(A)
     eig_out = sym_eig(B)
-    return _support_report(eig_in, eig_out, eig_in.eigenvectors.T @ eig_out.eigenvectors, tol)
+    return _support_report(eig_in, eig_out, eig_in.eigenvectors.T @ eig_out.eigenvectors)
 
 
 def trace_product(A, B):

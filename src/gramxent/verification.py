@@ -103,13 +103,11 @@ def random_orthogonal(seed, n):
     return Q * signs
 
 
-def random_gram(seed, n, d=3, spec=None):
-    """Unit-trace Gram of n standard-normal points in d dimensions."""
-    if spec is None:
-        spec = KernelSpec()
+def random_gram(seed, n, d=3):
+    """Unit-trace gaussian Gram of n standard-normal points in d dimensions."""
     rng = np.random.default_rng(seed)
     X = SampleSet(rng.standard_normal((n, d)))
-    return normalize_trace(gram_univariate(spec, X))
+    return normalize_trace(gram_univariate(KernelSpec(), X))
 
 
 @dataclass(frozen=True)

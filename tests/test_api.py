@@ -1,0 +1,66 @@
+"""The public surface: the export list and the order in which arguments are checked."""
+
+import inspect
+import types
+
+import numpy as np
+import pytest
+
+import gramxent
+from gramxent import ArgumentError, CrossGram, GramMatrix
+
+
+def test_all_is_sorted_and_is_every_public_non_module_global():
+    public = [
+        name
+        for name, value in vars(gramxent).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert gramxent.__all__ == sorted(public)
+    assert "estimators" not in gramxent.__all__
+
+
+def test_star_import_binds_the_api_and_no_module():
+    namespace = {}
+    exec("from gramxent import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == gramxent.__all__
+    assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
+
+
+# Raw inputs for every matrix parameter of an order-taking function: they fail
+# the bipartite unit-trace contract and the tripartite cross-Gram shape check.
+RAW_ARGS = {
+    "K": GramMatrix(np.eye(2)),
+    "K1": GramMatrix(np.eye(2)),
+    "K2": GramMatrix(np.eye(2)),
+    "K12": CrossGram(np.eye(3)),
+    "beta": 1.0,
+}
+ORDER_TAKERS = [
+    name
+    for name in gramxent.__all__
+    if inspect.isfunction(getattr(gramxent, name))
+    and "alpha" in inspect.signature(getattr(gramxent, name)).parameters
+]
+
+
+@pytest.mark.parametrize("name", ORDER_TAKERS)
+def test_order_is_checked_before_the_matrices(name):
+    fn = getattr(gramxent, name)
+    args = {p: RAW_ARGS[p] for p in inspect.signature(fn).parameters if p in RAW_ARGS}
+    with pytest.raises(ArgumentError, match="order must be a positive finite real"):
+        fn(alpha=0.0, **args)
+
+
+def test_every_order_taking_estimator_is_covered():
+    assert set(ORDER_TAKERS) == {
+        "conditional_entropy",
+        "joint_entropy",
+        "matrix_renyi_entropy",
+        "mirrored_cross_entropy",
+        "mirrored_cross_entropy_two_param",
+        "mutual_information",
+        "nonmirrored_cross_entropy",
+        "tripartite_cross_entropy",
+    }

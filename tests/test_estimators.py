@@ -11,7 +11,6 @@ import numpy.testing as npt
 import pytest
 
 from gramxent import (
-    Alpha,
     ArgumentError,
     ContractError,
     CrossGram,
@@ -62,18 +61,31 @@ def unit_gram(seed, n, d=3):
     return normalize_trace(G)
 
 
-# ---------------------------------------------------------------------- Alpha
+# ---------------------------------------------------------------------- order
+
+# Order-taking estimators on valid unit-trace inputs, so only the order can fail
+# (test_api.py checks every order-taking function on invalid matrices).
+ORDER_CALLS = [
+    lambda a: nonmirrored_cross_entropy(DIAG_1, DIAG_2, a),
+    lambda a: mirrored_cross_entropy(DIAG_1, DIAG_2, a),
+    lambda a: mirrored_cross_entropy_two_param(DIAG_1, DIAG_2, a, 1.0),
+    lambda a: matrix_renyi_entropy(DIAG_1, a),
+    lambda a: mutual_information(DIAG_1, DIAG_2, a),
+]
+
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_alpha_rejects_nonpositive_or_nonfinite(bad):
-    with pytest.raises(ArgumentError):
-        Alpha(bad)
+    for call in ORDER_CALLS:
+        with pytest.raises(ArgumentError, match="order must be a positive finite real"):
+            call(bad)
 
 
 @pytest.mark.parametrize("near_one", [1.0, 1.0 + 5e-7, 1.0 - 5e-7])
 def test_alpha_rejects_neighborhood_of_one(near_one):
-    with pytest.raises(ArgumentError, match="mirrored_limit_umegaki"):
-        Alpha(near_one)
+    for call in ORDER_CALLS:
+        with pytest.raises(ArgumentError, match="mirrored_limit_umegaki"):
+            call(near_one)
 
 
 # --------------------------------------------------------- bipartite measures
@@ -211,7 +223,6 @@ def test_umegaki_diagonal_example():
     assert res.value == pytest.approx(UMEGAKI_DIAG, abs=1e-12)
     assert res.alpha == 1.0
     assert res.support.included
-    assert res.support_reverse.included
 
 
 def test_umegaki_diverges_without_support():
@@ -220,7 +231,14 @@ def test_umegaki_diverges_without_support():
     res = mirrored_limit_umegaki(wide, narrow)
     assert res.value == math.inf
     assert not res.support.included
-    assert res.support_reverse.included  # informational direction still filled
+
+
+@pytest.mark.parametrize("K1", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "minus-identity"])
+def test_umegaki_rank_zero_raw_k1_is_degenerate(K1):
+    """A rank-0 K1 has an empty support, so it is included in K2's, and a
+    nonpositive trace."""
+    with pytest.raises(DegenerateMatrixError):
+        mirrored_limit_umegaki(GramMatrix(K1), GramMatrix(np.eye(3)), raw=True)
 
 
 def test_mirrored_approaches_umegaki_near_one():

@@ -656,6 +656,46 @@ def test_cli_names_a_nonpositive_size_or_scale(command, extra, config, named, tm
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, extra, config, named",
+    [
+        ("mean-shift", ["--shift", "nan"], {}, "shift_grid"),
+        ("mean-shift", ["--shift", "inf"], {}, "shift_grid"),
+        ("tripartite", [], {"shift_grid": [0.0, -math.inf]}, "shift_grid"),
+        ("mean-shift", [], {"sample_scale": math.inf}, "sample_scale"),
+        ("variance-scale", [], {"sample_scale": math.nan}, "sample_scale"),
+        ("mean-shift", ["--sigma", "inf", "--n", "8"], {}, "bandwidth"),
+        ("tripartite", ["--sigma", "inf"], {}, "bandwidth"),
+    ],
+)
+def test_cli_names_a_nonfinite_shift_scale_or_bandwidth(
+    command, extra, config, named, tmp_path, capsys
+):
+    """A shift, sample scale or bandwidth that is not finite is rejected by
+    name, not as non-finite samples, and no numpy warning escapes."""
+    cfg = write(tmp_path, "cfg.json", json.dumps(config))
+    assert main([command, "--config", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {named} " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mean-shift", "tripartite"])
+def test_cli_huge_bandwidth_runs_at_the_exact_limit(command, tmp_path):
+    """sigma * d^2 overflows to inf and exp(-inf) = 0: finite rows and no
+    numpy warning (the suite turns one into an error)."""
+    out = str(tmp_path / "rows.csv")
+    assert main([command, "--sigma", "1e308", "--n", "8", "--out", out]) == 0
+    rows = parse_results_csv(out)
+    assert rows and all(math.isfinite(r.value) for r in rows)
+
+
+def test_cli_huge_exponential_inner_product_bandwidth_overflows(capsys):
+    argv = ["mean-shift", "--kernel", "exponential-inner-product", "--sigma", "1e308"]
+    assert main([*argv, "--n", "8"]) == 1
+    assert "exponential-inner-product overflow" in capsys.readouterr().err
+
+
 # Per property-suite config key: the file value and the argument it gives,
 # then a flag and the argument the flag gives over the file.
 PROPERTY_KEY_CASES = {

@@ -263,6 +263,30 @@ def test_hadamard_size_mismatch():
         hadamard_joint(A, B)
 
 
+def test_hadamard_zero_trace_degenerate():
+    with pytest.raises(DegenerateMatrixError):
+        hadamard_joint(GramMatrix(np.diag([1.0, 0.0])), GramMatrix(np.diag([0.0, 1.0])))
+
+
 def test_unit_trace_flag_means_unit_trace():
     K = normalize_trace(gram_univariate(EIP, rand_samples(13, 9, 4)))
     assert abs(K.trace() - 1.0) <= 1e-12
+
+
+# ------------------------------------------------------------------ bandwidth
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_bandwidth_must_be_positive_and_finite(bad):
+    with pytest.raises(ArgumentError, match="bandwidth must be positive and finite"):
+        KernelSpec("gaussian", bad)
+
+
+def test_huge_bandwidth_is_the_exact_limit():
+    """sigma * ||s - a||^2 overflowing to inf gives the gaussian's exact
+    exp(-inf) = 0 with no warning; the exponential-inner-product family raises."""
+    X, Y = rand_samples(31, 5, 2), rand_samples(32, 4, 2)
+    huge = KernelSpec("gaussian", 1e308)
+    npt.assert_array_equal(gram_univariate(huge, X).values, np.eye(5))
+    npt.assert_array_equal(gram_cross(huge, X, Y).values, np.zeros((5, 4)))
+    with pytest.raises(KernelOverflowError):
+        gram_univariate(KernelSpec("exponential-inner-product", 1e308), X)

@@ -198,12 +198,6 @@ def test_support_size_mismatch():
         support_included(GramMatrix(np.eye(2)), GramMatrix(np.eye(3)))
 
 
-def test_support_tolerance_must_be_positive():
-    K = GramMatrix(np.eye(2))
-    with pytest.raises(ArgumentError):
-        support_included(K, K, tol=0.0)
-
-
 # -------------------------------------------------------------- trace_product
 
 def test_trace_product_identity_pair():

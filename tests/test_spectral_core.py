@@ -274,6 +274,5 @@ def test_support_reports_match_support_included(label, K1, K2):
         )
         res = mirrored_limit_umegaki(A, B)
         _assert_same_report(res.support, expected)
-        _assert_same_report(res.support_reverse, support_included(B, A))
     if label == "rank-deficient-K2":
         assert not support_included(K2, K1).included  # the +inf path ran
