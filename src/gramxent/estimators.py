@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ArgumentError, ContractError, DegenerateMatrixError, NumericalDegeneracyError
 from .kernels import RAW, UNIT_TRACE, CrossGram, GramMatrix, hadamard_joint
-from .psd_linalg import SupportReport, _check_symmetric, _support_report, sym_eig
+from .psd_linalg import SupportReport, _check_finite, _check_symmetric, _support_report, sym_eig
 
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
 ALPHA_UNIT_GAP = 1e-6
@@ -109,7 +109,7 @@ class _Pair:
     forms the overlap O = U1^T U2 and the gating support report (supp K1
     inside supp K2). Every order of the nonmirrored measure and the Umegaki
     limit then cost no further decomposition; a mirrored value decomposes
-    only its own sandwich.
+    only its own sandwich, and only at a non-integer beta.
     """
 
     def __init__(self, K1, K2, raw=False):
@@ -136,13 +136,24 @@ class _Pair:
 
         In K2's eigenbasis M = B^T B with B = diag(lambda^(a/2beta)) O
         diag(mu^((1-a)/2beta)), powers taken on the supports. Returns the
-        power sum and the number of M's eigenvalues clamped.
+        power sum and the number of M's eigenvalues clamped. At an integer
+        beta = k no spectrum of M is taken, so none are clamped: with
+        P = M^(k//2), tr(M^k) is ||P||_F^2 for even k and ||B P||_F^2 for odd k.
         """
         outer, inner = (1.0 - a) / (2.0 * beta), a / beta
         B = self.e1.on_support(lambda w: np.power(w, inner / 2.0))[:, None] * self.overlap
         B *= self.e2.on_support(lambda w: np.power(w, outer))
-        eig = sym_eig(B.T @ B, vectors=False)
-        return eig.power_sum(beta), eig.clamp_count
+        M = B.T @ B
+        k = int(beta)
+        if k != beta:
+            eig = sym_eig(M, vectors=False)
+            return eig.power_sum(beta), eig.clamp_count
+        _check_finite(M)
+        P = np.linalg.matrix_power(M, k // 2)
+        Q = P if k % 2 == 0 else B @ P
+        t = float(np.sum(Q * Q))
+        # M is finite, so a non-finite sum is a trace overflowing the float range
+        return (t if math.isfinite(t) else math.inf), 0
 
     def _result(self, a, name, t, clamped):
         """(a-1)^-1 [log t - log tr(K1)] for the trace t of an included pair."""
@@ -250,8 +261,7 @@ class _Triple:
             raise ArgumentError(
                 f"cross Gram shape {K12.values.shape} inconsistent with ({n}, {m})"
             )
-        if not (np.all(np.isfinite(K2.values)) and np.all(np.isfinite(K12.values))):
-            raise ArgumentError("matrix has non-finite entries")
+        _check_finite(K2.values, K12.values)
         _check_symmetric(K2.values)
         self.K1 = K1
         self.e1 = sym_eig(K1, vectors=False) if e1 is None else e1

@@ -123,10 +123,10 @@ def eval_kernel(spec, s, a):
 
 
 def _mirror_upper(K):
-    # Copy the strict upper triangle onto the lower one so symmetry holds
-    # bit-exactly rather than to rounding.
-    iu, ju = np.triu_indices(K.shape[0], k=1)
-    K[ju, iu] = K[iu, ju]
+    # Copy the strict upper triangle onto the lower one, row by row, so
+    # symmetry holds bit-exactly rather than to rounding.
+    for i in range(1, K.shape[0]):
+        K[i, :i] = K[:i, i]
     return K
 
 
@@ -134,12 +134,19 @@ def _kernel_block(spec, A, B):
     """Kernel values between the rows of A (n x d) and B (m x d), n x m.
 
     A bandwidth product overflowing to inf is the gaussian's exact limit
-    exp(-inf) = 0 and an exponential-inner-product KernelOverflowError.
+    exp(-inf) = 0 and an exponential-inner-product KernelOverflowError. So
+    is a gaussian distance overflowing to inf: samples with entries above
+    1e150 would make |a|^2 + |b|^2 - 2<a, b> inf - inf, so their squared
+    differences are summed instead, one row at a time.
     """
     with np.errstate(over="ignore"):
         if spec.family == GAUSSIAN:
-            D = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
-            np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
+            if max(float(np.max(np.abs(A))), float(np.max(np.abs(B)))) > 1e150:
+                D = np.array([np.sum((B - a) ** 2, axis=1) for a in A])
+            else:
+                # d * (1e150)^2 stays far below the float maximum
+                D = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+                np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
             return np.exp(-spec.bandwidth * D)
         E = spec.bandwidth * (A @ B.T)
     if np.max(E) > OVERFLOW_LIMIT:

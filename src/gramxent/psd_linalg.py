@@ -85,6 +85,11 @@ def _as_array(G):
     return G.values if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
 
 
+def _check_finite(*arrays):
+    if not all(np.all(np.isfinite(A)) for A in arrays):
+        raise ArgumentError("matrix has non-finite entries")
+
+
 def _check_symmetric(A):
     """Reject an array that is not square, or whose asymmetry exceeds
     n * SYMMETRY_RTOL * max|A|."""
@@ -104,8 +109,7 @@ def sym_eig(G, vectors=True):
     spectral quantity is ever read off a NaN or inf matrix.
     """
     A = _as_array(G)
-    if not np.all(np.isfinite(A)):
-        raise ArgumentError("matrix has non-finite entries")
+    _check_finite(A)
     _check_symmetric(A)
     V = None
     try:

@@ -690,6 +690,20 @@ def test_cli_huge_bandwidth_runs_at_the_exact_limit(command, tmp_path):
     assert rows and all(math.isfinite(r.value) for r in rows)
 
 
+def test_cli_huge_sample_scale_runs_at_the_exact_limit(tmp_path, capsys):
+    """Samples at 1e200 have squared distances past the float range, so the
+    gaussian Grams are exactly the identity, with no numpy warning; the
+    exponential-inner-product family, in the default family set, overflows."""
+    cfg = write(tmp_path, "cfg.json", json.dumps({"sample_scale": 1e200}))
+    out = str(tmp_path / "rows.csv")
+    argv = ["mean-shift", "--config", cfg, "--n", "8"]
+    assert main([*argv, "--kernel", "gaussian", "--out", out]) == 0
+    rows = parse_results_csv(out)
+    assert rows and all(abs(r.value) < 1e-14 for r in rows)  # C(I/n || I/n) = 0
+    assert main(argv) == 1
+    assert "exponential-inner-product overflow" in capsys.readouterr().err
+
+
 def test_cli_huge_exponential_inner_product_bandwidth_overflows(capsys):
     argv = ["mean-shift", "--kernel", "exponential-inner-product", "--sigma", "1e308"]
     assert main([*argv, "--n", "8"]) == 1

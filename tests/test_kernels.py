@@ -21,6 +21,7 @@ from gramxent import (
     hadamard_joint,
     normalize_trace,
 )
+from gramxent.kernels import _kernel_block, _mirror_upper
 
 GAUSS = KernelSpec("gaussian", 1.0)
 EIP = KernelSpec("exponential-inner-product", 1.0)
@@ -290,3 +291,43 @@ def test_huge_bandwidth_is_the_exact_limit():
     npt.assert_array_equal(gram_cross(huge, X, Y).values, np.zeros((5, 4)))
     with pytest.raises(KernelOverflowError):
         gram_univariate(KernelSpec("exponential-inner-product", 1e308), X)
+
+
+def test_huge_samples_are_the_exact_limit():
+    """Samples whose squares overflow: the distances overflow to inf, so the
+    gaussian is exactly 0 between far points, with no inf - inf warning, and
+    a small pair among them keeps its exact value."""
+    X = SampleSet(np.array([[1e200, -1e200], [1.0, 2.0], [1.7e308, 0.0]]))
+    Y = SampleSet(np.array([[1e200, 1e200], [1.0, 1.0]]))
+    npt.assert_array_equal(gram_univariate(GAUSS, X).values, np.eye(3))
+    npt.assert_array_equal(
+        gram_cross(GAUSS, X, Y).values, [[0.0, 0.0], [0.0, EXP_MINUS_ONE], [0.0, 0.0]]
+    )
+    with pytest.raises(KernelOverflowError):
+        gram_univariate(EIP, X)
+
+
+# -------------------------------------------------------------------- mirror
+
+def _index_array_mirror(K):
+    """The strict upper triangle copied onto the lower one by index arrays."""
+    iu, ju = np.triu_indices(K.shape[0], k=1)
+    K[ju, iu] = K[iu, ju]
+    return K
+
+
+@pytest.mark.parametrize("spec", [GAUSS, EIP], ids=["gaussian", "eip"])
+@pytest.mark.parametrize("n", [1, 2, 17, 128])
+def test_gram_is_the_index_array_mirror_bit_for_bit(spec, n):
+    """numpy's A @ A.T is often bit-symmetric already, so the mirror itself
+    is also checked on a matrix whose triangles differ."""
+    rng = np.random.default_rng(n)
+    M = rng.random((n, n))
+    assert _mirror_upper(M.copy()).tobytes() == _index_array_mirror(M.copy()).tobytes()
+    X = SampleSet(0.3 * rng.standard_normal((n, 5)))
+    K = _kernel_block(spec, X.data, X.data)
+    if spec is GAUSS:
+        np.fill_diagonal(K, 1.0)
+    got = gram_univariate(spec, X).values
+    assert got.tobytes() == _index_array_mirror(K).tobytes()
+    assert got.tobytes() == got.T.copy().tobytes()

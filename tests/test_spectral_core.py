@@ -41,7 +41,9 @@ from gramxent import (
     trace_product,
     tripartite_cross_entropy,
 )
+from gramxent.estimators import _Pair
 from gramxent.experiments import _bipartite_rows
+from gramxent.psd_linalg import sym_eig
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -61,7 +63,7 @@ def _calls():
     K1, K2 = normalize_trace(G1), normalize_trace(G2)
     return {
         "nonmirrored": (lambda: nonmirrored_cross_entropy(K1, K2, 2.0), 2),
-        "mirrored": (lambda: mirrored_cross_entropy(K1, K2, 2.0), 3),
+        "mirrored": (lambda: mirrored_cross_entropy(K1, K2, 2.0), 2),
         "two-param": (lambda: mirrored_cross_entropy_two_param(K1, K2, 0.5, 0.75), 3),
         "umegaki": (lambda: mirrored_limit_umegaki(K1, K2), 2),
         "tripartite-square": (
@@ -81,7 +83,8 @@ def _calls():
 @pytest.mark.parametrize("label", sorted(_calls()))
 def test_each_gram_matrix_is_decomposed_once(label, monkeypatch):
     """numpy eigh + eigvalsh calls per public call: one per matrix whose
-    spectrum the value needs (plus one for a mirrored sandwich)."""
+    spectrum the value needs (plus one for a mirrored sandwich at a
+    non-integer beta)."""
     call, expected = _calls()[label]
     counts = {"eigh": 0, "eigvalsh": 0}
     for name in counts:
@@ -112,7 +115,8 @@ def _count_decompositions(monkeypatch, call):
 
 def test_runner_draw_decomposes_its_pair_once(monkeypatch):
     """Both measures at every default order from one eigh per Gram matrix;
-    each mirrored value adds the eigvalsh of its sandwich."""
+    a mirrored value adds the eigvalsh of its sandwich only at a non-integer
+    order (0.5 and 1.5 of the four)."""
     _, _, G1, G2 = _grams(0, 16, 16)
     K1, K2 = normalize_trace(G1), normalize_trace(G2)
     alphas = default_config("convergence").alpha_grid
@@ -121,19 +125,37 @@ def test_runner_draw_decomposes_its_pair_once(monkeypatch):
         monkeypatch,
         lambda: _bipartite_rows("convergence", GAUSS.family, K1, K2, 16, 4, 0, alphas),
     )
-    assert counts == {"eigh": 2, "eigvalsh": 4}
+    assert counts == {"eigh": 2, "eigvalsh": 2}
 
 
 def test_property_suite_decomposes_each_pair_once(monkeypatch):
     """Nine pairs per instance (base, self, conjugated, raw, scaled, pinched,
     perturbed, second draw, mixture) and three Kronecker pairs per seed make
     24 eigh; the two tripartite triples read K1's spectrum off the raw and
-    scaled pairs and add none. Every mirrored value and sandwich adds one
-    eigvalsh."""
+    scaled pairs and add none. A mirrored value or sandwich adds one eigvalsh
+    at a non-integer order and none at an integer one, whose trace is read
+    off matrix products."""
     counts = _count_decompositions(
         monkeypatch, lambda: run_property_suite(n_seeds=1, sizes=(4,))
     )
-    assert counts == {"eigh": 24, "eigvalsh": 88}
+    assert counts == {"eigh": 24, "eigvalsh": 57}
+
+
+@pytest.mark.parametrize("beta,eigvalsh", [(0.75, 1), (2.0, 0)])
+def test_sandwich_is_decomposed_only_at_a_non_integer_beta(beta, eigvalsh, monkeypatch):
+    """An integer beta reads tr(M^beta) off matrix products and clamps none of
+    M's eigenvalues; a non-integer one still takes M's eigvalsh."""
+    _, _, G1, G2 = _grams(0, 12, 12)
+    K1, K2 = normalize_trace(G1), normalize_trace(G2)
+    results = []
+    counts = _count_decompositions(
+        monkeypatch,
+        lambda: results.append(mirrored_cross_entropy_two_param(K1, K2, 0.5, beta)),
+    )
+    assert counts == {"eigh": 2, "eigvalsh": eigvalsh}
+    if eigvalsh == 0:
+        pair = _Pair(K1, K2)
+        assert results[0].clamp_count == pair.e1.clamp_count + pair.e2.clamp_count
 
 
 def test_tripartite_runner_decomposes_k1_once_per_replicate(monkeypatch):
@@ -276,3 +298,61 @@ def test_support_reports_match_support_included(label, K1, K2):
         _assert_same_report(res.support, expected)
     if label == "rank-deficient-K2":
         assert not support_included(K2, K1).included  # the +inf path ran
+
+
+# ------------------------------------------------- integer-order sandwiches
+
+def _sandwich(pair, a, beta):
+    """M = B^T B of _Pair.mirrored_trace, built here from the pair's spectra
+    and overlap, powers on the supports."""
+    B = pair.e1.on_support(lambda w: w ** (a / (2.0 * beta)))[:, None] * pair.overlap
+    B = B * pair.e2.on_support(lambda w: w ** ((1.0 - a) / (2.0 * beta)))
+    return B.T @ B
+
+
+def _trace_pairs():
+    """(label, K1, K2, raw): the unit-trace pairs, rank-deficient K2 among
+    them, plus raw Gram pairs."""
+    pairs = [(label, K1, K2, False) for label, K1, K2 in _pairs()]
+    for seed, n in ((4, 6), (5, 12)):
+        _, _, G1, G2 = _grams(seed, n, n)
+        pairs.append((f"raw-{n}", G1, G2, True))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "label,K1,K2,raw", _trace_pairs(), ids=[p[0] for p in _trace_pairs()]
+)
+@pytest.mark.parametrize("a", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_integer_beta_trace_is_the_sandwich_power_sum(label, K1, K2, raw, a, k):
+    pair = _Pair(K1, K2, raw)
+    t, clamped = pair.mirrored_trace(a, float(k))
+    expected = sym_eig(_sandwich(pair, a, k), vectors=False).power_sum(k)
+    assert t == pytest.approx(expected, rel=1e-12)
+    assert clamped == 0
+
+
+def test_overflowing_sandwich_raises_the_same_error_on_both_paths(monkeypatch):
+    """At order 1000, K2's negative power overflows B: an integer beta
+    rejects M as sym_eig does for a non-integer one, before any power of M."""
+    powers = []
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: powers.append(args))
+    _, K1, K2 = _pairs()[2]
+    for beta in (1.0, 1.5, 2.0, 2.5):
+        # the overflow in building B is shared by both paths
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArgumentError, match="^matrix has non-finite entries$"):
+                mirrored_cross_entropy_two_param(K1, K2, 1000.0, beta)
+    assert powers == []
+
+
+def test_integer_beta_trace_past_the_float_range_is_inf():
+    """At order 10001 the powers of M overflow and can meet inf - inf; the
+    trace still reads +inf, as the power sum of a non-integer beta does."""
+    for _, K1, K2 in _pairs():
+        for beta in (10001.0, 10001.5):
+            # the overflow warnings are those of the power sum before
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = mirrored_cross_entropy_two_param(K1, K2, 10001.0, beta)
+            assert res.value == math.inf
