@@ -34,6 +34,10 @@ from .psd_linalg import SupportReport, _check_finite, _check_symmetric, _support
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
 ALPHA_UNIT_GAP = 1e-6
 
+# Integer sandwich orders up to this one are traced by matrix products, at most
+# five n x n matmuls; past it one eigvalsh of the sandwich is cheaper.
+PRODUCT_ORDER_MAX = 16
+
 ZERO_CIP_FLOOR = 1e-300
 DEGENERATE_ZERO_CIP = "zero-cip"
 
@@ -137,22 +141,25 @@ class _Pair:
         In K2's eigenbasis M = B^T B with B = diag(lambda^(a/2beta)) O
         diag(mu^((1-a)/2beta)), powers taken on the supports. Returns the
         power sum and the number of M's eigenvalues clamped. At an integer
-        beta = k no spectrum of M is taken, so none are clamped: with
-        P = M^(k//2), tr(M^k) is ||P||_F^2 for even k and ||B P||_F^2 for odd k.
+        beta = k <= PRODUCT_ORDER_MAX no spectrum of M is taken, so none are
+        clamped: with P = M^(k//2), tr(M^k) is ||P||_F^2 for even k and
+        ||B P||_F^2 for odd k.
         """
         outer, inner = (1.0 - a) / (2.0 * beta), a / beta
         B = self.e1.on_support(lambda w: np.power(w, inner / 2.0))[:, None] * self.overlap
         B *= self.e2.on_support(lambda w: np.power(w, outer))
         M = B.T @ B
         k = int(beta)
-        if k != beta:
+        if k != beta or k > PRODUCT_ORDER_MAX:
             eig = sym_eig(M, vectors=False)
             return eig.power_sum(beta), eig.clamp_count
         _check_finite(M)
-        P = np.linalg.matrix_power(M, k // 2)
-        Q = P if k % 2 == 0 else B @ P
-        t = float(np.sum(Q * Q))
-        # M is finite, so a non-finite sum is a trace overflowing the float range
+        # M is finite, so a non-finite sum is a trace overflowing the float
+        # range; an overflowed power meeting a zero row of M is inf * 0 = NaN
+        with np.errstate(invalid="ignore"):
+            P = np.linalg.matrix_power(M, k // 2)
+            Q = P if k % 2 == 0 else B @ P
+            t = float(np.sum(Q * Q))
         return (t if math.isfinite(t) else math.inf), 0
 
     def _result(self, a, name, t, clamped):

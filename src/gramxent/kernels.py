@@ -137,9 +137,11 @@ def _kernel_block(spec, A, B):
     exp(-inf) = 0 and an exponential-inner-product KernelOverflowError. So
     is a gaussian distance overflowing to inf: samples with entries above
     1e150 would make |a|^2 + |b|^2 - 2<a, b> inf - inf, so their squared
-    differences are summed instead, one row at a time.
+    differences are summed instead, one row at a time. An inner product
+    whose overflowed terms differ in sign is NaN, and also a
+    KernelOverflowError.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if spec.family == GAUSSIAN:
             if max(float(np.max(np.abs(A))), float(np.max(np.abs(B)))) > 1e150:
                 D = np.array([np.sum((B - a) ** 2, axis=1) for a in A])
@@ -149,7 +151,8 @@ def _kernel_block(spec, A, B):
                 np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
             return np.exp(-spec.bandwidth * D)
         E = spec.bandwidth * (A @ B.T)
-    if np.max(E) > OVERFLOW_LIMIT:
+    if not np.max(E) <= OVERFLOW_LIMIT:  # np.max is NaN if any entry is
+        E = np.where(np.isnan(E), np.inf, E)
         i, j = np.unravel_index(int(np.argmax(E)), E.shape)
         raise KernelOverflowError(i, j, E[i, j])
     return np.exp(E)

@@ -307,6 +307,21 @@ def test_huge_samples_are_the_exact_limit():
         gram_univariate(EIP, X)
 
 
+def test_mixed_sign_overflowed_inner_product_is_an_overflow():
+    """<a, b> = 2e400 summed as inf + inf + inf - inf is NaN in some BLAS
+    kernels; it is reported as an overflow at its pair, not carried into the
+    Gram. A d = 10 Gram of mixed-sign huge rows raises the same way."""
+    a, b = 1e200 * np.ones(4), 1e200 * np.array([1.0, 1.0, 1.0, -1.0])
+    X = SampleSet(np.array([[1.0, 2.0, 3.0, 4.0], a]))
+    with pytest.raises(KernelOverflowError) as exc:
+        gram_cross(EIP, X, SampleSet(b[None, :]))
+    assert (exc.value.i, exc.value.j, exc.value.exponent) == (1, 0, math.inf)
+    rows = 1e200 * np.random.default_rng(0).standard_normal((8, 10))
+    with pytest.raises(KernelOverflowError) as exc:
+        gram_univariate(EIP, SampleSet(rows))
+    assert exc.value.exponent == math.inf
+
+
 # -------------------------------------------------------------------- mirror
 
 def _index_array_mirror(K):

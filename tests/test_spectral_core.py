@@ -41,7 +41,7 @@ from gramxent import (
     trace_product,
     tripartite_cross_entropy,
 )
-from gramxent.estimators import _Pair
+from gramxent.estimators import PRODUCT_ORDER_MAX, _Pair
 from gramxent.experiments import _bipartite_rows
 from gramxent.psd_linalg import sym_eig
 
@@ -141,21 +141,19 @@ def test_property_suite_decomposes_each_pair_once(monkeypatch):
     assert counts == {"eigh": 24, "eigvalsh": 57}
 
 
-@pytest.mark.parametrize("beta,eigvalsh", [(0.75, 1), (2.0, 0)])
-def test_sandwich_is_decomposed_only_at_a_non_integer_beta(beta, eigvalsh, monkeypatch):
-    """An integer beta reads tr(M^beta) off matrix products and clamps none of
-    M's eigenvalues; a non-integer one still takes M's eigvalsh."""
+@pytest.mark.parametrize("k,eigvalsh", [(PRODUCT_ORDER_MAX, 0), (PRODUCT_ORDER_MAX + 1, 1)])
+def test_integer_beta_products_stop_at_the_order_bound(k, eigvalsh, monkeypatch):
+    """Up to the bound an integer beta reads tr(M^beta) off matrix products,
+    clamping none of M's eigenvalues; past it M takes its eigvalsh."""
     _, _, G1, G2 = _grams(0, 12, 12)
-    K1, K2 = normalize_trace(G1), normalize_trace(G2)
-    results = []
+    pair = _Pair(normalize_trace(G1), normalize_trace(G2))
+    out = []
     counts = _count_decompositions(
-        monkeypatch,
-        lambda: results.append(mirrored_cross_entropy_two_param(K1, K2, 0.5, beta)),
+        monkeypatch, lambda: out.append(pair.mirrored_trace(0.5, float(k)))
     )
-    assert counts == {"eigh": 2, "eigvalsh": eigvalsh}
+    assert counts == {"eigh": 0, "eigvalsh": eigvalsh}
     if eigvalsh == 0:
-        pair = _Pair(K1, K2)
-        assert results[0].clamp_count == pair.e1.clamp_count + pair.e2.clamp_count
+        assert out[0][1] == 0
 
 
 def test_tripartite_runner_decomposes_k1_once_per_replicate(monkeypatch):
@@ -348,11 +346,11 @@ def test_overflowing_sandwich_raises_the_same_error_on_both_paths(monkeypatch):
 
 
 def test_integer_beta_trace_past_the_float_range_is_inf():
-    """At order 10001 the powers of M overflow and can meet inf - inf; the
-    trace still reads +inf, as the power sum of a non-integer beta does."""
+    """At order 1600, M is finite but its powers overflow (and meet the zero
+    rows of the rank-deficient M as inf * 0); the trace reads +inf on every
+    path, with no warning but the power sum's own overflow."""
     for _, K1, K2 in _pairs():
-        for beta in (10001.0, 10001.5):
-            # the overflow warnings are those of the power sum before
-            with np.errstate(over="ignore", invalid="ignore"):
-                res = mirrored_cross_entropy_two_param(K1, K2, 10001.0, beta)
+        for beta in (15.0, 15.5, 16.0, 17.0):
+            with np.errstate(over="ignore"):
+                res = mirrored_cross_entropy_two_param(K1, K2, 1600.0, beta)
             assert res.value == math.inf
