@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, ContractError, DegenerateMatrixError, NumericalDegeneracyError
-from .kernels import RAW, UNIT_TRACE, CrossGram, GramMatrix, hadamard_joint
+from .kernels import RAW, UNIT_TRACE, CrossGram, _check_gram, hadamard_joint
 from .psd_linalg import SupportReport, _check_finite, _check_symmetric, _support_report, sym_eig
 
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
@@ -79,8 +79,7 @@ class CrossEntropyResult:
 
 
 def _check_trace_contract(K, name, raw):
-    if not isinstance(K, GramMatrix):
-        raise ArgumentError(f"{name} must be a GramMatrix")
+    _check_gram(K, name)
     if raw:
         return
     if K.normalization != UNIT_TRACE:
@@ -96,14 +95,6 @@ def _positive_trace(K1):
     if not (tr > 0):
         raise DegenerateMatrixError(f"first argument has nonpositive trace {tr:.6g}")
     return tr
-
-
-def _log_trace_term(K1, raw):
-    # log tr(K1) of the definition; identically zero under the unit-trace
-    # contract, so it is skipped there rather than computed as log(1 + eps).
-    if not raw and K1.normalization == UNIT_TRACE:
-        return 0.0
-    return math.log(_positive_trace(K1))
 
 
 class _Pair:
@@ -128,6 +119,7 @@ class _Pair:
         # the traces below need only the two spectra and O: release the eigenvectors
         self.e1, self.e2 = (replace(e, eigenvectors=None) for e in (e1, e2))
         self.support = _support_report(self.e1, self.e2, self.overlap)
+        self.clamp_count = self.e1.clamp_count + self.e2.clamp_count
 
     def nonmirrored_trace(self, a):
         """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports."""
@@ -162,50 +154,51 @@ class _Pair:
             t = float(np.sum(Q * Q))
         return (t if math.isfinite(t) else math.inf), 0
 
-    def _result(self, a, name, t, clamped):
-        """(a-1)^-1 [log t - log tr(K1)] for the trace t of an included pair."""
-        clamp_count = self.e1.clamp_count + self.e2.clamp_count + clamped
+    def _gated(self, a, measure):
+        """+inf at order ``a`` when supp K1 is not inside supp K2, else the value
+        ``measure()`` returns, its clamp count added to the pair's."""
+        if not self.support.included:
+            return CrossEntropyResult(value=math.inf, alpha=a, support=self.support)
+        value, clamped = measure()
+        return CrossEntropyResult(value, a, self.support, self.clamp_count + clamped)
+
+    def _log_ratio(self, a, name, t, clamped):
+        """(a-1)^-1 [log t - log tr(K1)] for the trace t of an included pair; under
+        the unit-trace contract log tr(K1) is 0, not computed as log(1 + eps)."""
         if not (t > 0):
             raise NumericalDegeneracyError(
-                f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
+                f"{name} trace collapsed", trace_value=t, clamp_count=self.clamp_count + clamped
             )
-        value = (math.log(t) - _log_trace_term(self.K1, self.raw)) / (a - 1.0)
-        return CrossEntropyResult(
-            value=value, alpha=a, support=self.support, clamp_count=clamp_count
-        )
+        log_tr1 = math.log(_positive_trace(self.K1)) if self.raw else 0.0
+        return (math.log(t) - log_tr1) / (a - 1.0), clamped
 
     def nonmirrored(self, alpha):
         """The nonmirrored measure at ``alpha``; +inf when supp K1 is not inside supp K2."""
         a = _order(alpha)
-        if not self.support.included:
-            return CrossEntropyResult(value=math.inf, alpha=a, support=self.support)
-        return self._result(a, "nonmirrored", self.nonmirrored_trace(a), 0)
+        return self._gated(
+            a, lambda: self._log_ratio(a, "nonmirrored", self.nonmirrored_trace(a), 0)
+        )
 
     def mirrored(self, alpha, beta):
         """The two-parameter mirrored measure; beta = alpha is the one-parameter one."""
         a = _order(alpha)
-        if not self.support.included:
-            return CrossEntropyResult(value=math.inf, alpha=a, support=self.support)
-        t, clamped = self.mirrored_trace(a, beta)
-        return self._result(a, "mirrored", t, clamped)
+        return self._gated(
+            a, lambda: self._log_ratio(a, "mirrored", *self.mirrored_trace(a, beta))
+        )
 
     def umegaki(self):
         """The order-1 limit tr(K1 (log K1 - log K2)) / tr(K1)."""
-        if not self.support.included:
-            return CrossEntropyResult(value=math.inf, alpha=1.0, support=self.support)
-        # a rank-0 K1 (forced by an included rank-0 K2) has a nonpositive trace
-        tr1 = _positive_trace(self.K1)
-        # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
-        log1 = self.e1.on_support(np.log)
-        log2 = self.e2.on_support(np.log)
-        cross = (self.overlap * self.overlap) @ log2
-        value = float(self.e1.eigenvalues @ (log1 - cross)) / tr1
-        return CrossEntropyResult(
-            value=value,
-            alpha=1.0,
-            support=self.support,
-            clamp_count=self.e1.clamp_count + self.e2.clamp_count,
-        )
+
+        def measure():
+            # a rank-0 K1 (forced by an included rank-0 K2) has a nonpositive trace
+            tr1 = _positive_trace(self.K1)
+            # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
+            log1 = self.e1.on_support(np.log)
+            log2 = self.e2.on_support(np.log)
+            cross = (self.overlap * self.overlap) @ log2
+            return float(self.e1.eigenvalues @ (log1 - cross)) / tr1, 0
+
+        return self._gated(1.0, measure)
 
 
 def nonmirrored_cross_entropy(K1, K2, alpha, *, raw=False):
@@ -254,8 +247,8 @@ class _Triple:
     """
 
     def __init__(self, K1, K12, K2, e1=None):
-        if not isinstance(K1, GramMatrix) or not isinstance(K2, GramMatrix):
-            raise ArgumentError("K1 and K2 must be GramMatrix instances")
+        _check_gram(K1, "K1")
+        _check_gram(K2, "K2")
         if not isinstance(K12, CrossGram):
             raise ArgumentError("K12 must be a CrossGram")
         if K1.normalization != RAW or K2.normalization != RAW:
@@ -284,7 +277,7 @@ class _Triple:
             return CrossEntropyResult(sentinel, a, degenerate=DEGENERATE_ZERO_CIP)
         tr1 = _positive_trace(self.K1)
         # the spectrum of nt(K1) is K1's divided by its trace
-        s = float(np.sum((self.e1.eigenvalues[self.e1.support] / tr1) ** a))
+        s = float(np.sum((self.e1.eigenvalues[: self.e1.rank] / tr1) ** a))
         entropy_term = math.log(s) / (a - 1.0)
         value = math.log(self.cip) / (a - 1.0) + entropy_term
         return CrossEntropyResult(
@@ -361,6 +354,8 @@ def trace_distance_bounds(K1, K2):
     l1 = l2 (within 1e-12) the tight bound's removable singularity is replaced
     by its ceiling l1_max * w / min(l1, l2).
     """
+    _check_gram(K1, "K1")
+    _check_gram(K2, "K2")
     if K1.values.shape != K2.values.shape:
         raise ArgumentError(
             f"size mismatch: {K1.values.shape} vs {K2.values.shape}"

@@ -75,8 +75,9 @@ UNIT_TRACE = "unit-trace"
 class GramMatrix:
     """Symmetric nonnegative kernel matrix with normalization state.
 
-    Builders guarantee bit-exact symmetry by computing the upper triangle
-    once and mirroring it.
+    The builders' values are bit-exactly symmetric: numpy computes a sample
+    matrix times its own transpose as a symmetric product, and every other
+    step treats the two samples of an entry alike.
     """
 
     values: np.ndarray
@@ -88,6 +89,11 @@ class GramMatrix:
 
     def trace(self):
         return float(np.trace(self.values))
+
+
+def _check_gram(G, name):
+    if not isinstance(G, GramMatrix):
+        raise ArgumentError(f"{name} must be a GramMatrix")
 
 
 @dataclass(frozen=True)
@@ -120,14 +126,6 @@ def eval_kernel(spec, s, a):
     if exponent > OVERFLOW_LIMIT:
         raise KernelOverflowError(0, 0, exponent)
     return float(np.exp(exponent))
-
-
-def _mirror_upper(K):
-    # Copy the strict upper triangle onto the lower one, row by row, so
-    # symmetry holds bit-exactly rather than to rounding.
-    for i in range(1, K.shape[0]):
-        K[i, :i] = K[:i, i]
-    return K
 
 
 def _kernel_block(spec, A, B):
@@ -167,7 +165,7 @@ def gram_univariate(spec, X):
     K = _kernel_block(spec, X.data, X.data)
     if spec.family == GAUSSIAN:
         np.fill_diagonal(K, 1.0)  # exp(-sigma * 0) exactly
-    return GramMatrix(_mirror_upper(K), normalization=RAW)
+    return GramMatrix(K, normalization=RAW)
 
 
 def gram_cross(spec, X, Y):
@@ -176,7 +174,7 @@ def gram_cross(spec, X, Y):
         raise ArgumentError(f"sample sets have different dimensions: {X.d} vs {Y.d}")
     if X.n == Y.n and np.array_equal(X.data, Y.data):
         # definition coincides with the square Gram; make the values coincide
-        # exactly too (same diagonal and mirrored-triangle rounding)
+        # exactly too (same diagonal and symmetric-product rounding)
         return CrossGram(gram_univariate(spec, X).values)
     return CrossGram(_kernel_block(spec, X.data, Y.data))
 
@@ -187,6 +185,7 @@ def normalize_trace(G):
     Idempotent: a matrix already flagged unit-trace is returned unchanged, so
     repeated normalization is exact, not just within rounding.
     """
+    _check_gram(G, "G")
     if G.normalization == UNIT_TRACE:
         return G
     tr = G.trace()
@@ -201,6 +200,8 @@ def hadamard_joint(G1, G2):
     This realizes the product kernel: the Schur product theorem keeps the
     result PSD.
     """
+    _check_gram(G1, "G1")
+    _check_gram(G2, "G2")
     if G1.values.shape != G2.values.shape:
         raise ArgumentError(
             f"size mismatch: {G1.values.shape} vs {G2.values.shape}"

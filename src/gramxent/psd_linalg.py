@@ -2,9 +2,10 @@
 
 Everything funnels through one symmetric eigendecomposition, ``sym_eig``,
 the only caller of numpy's ``eigh`` / ``eigvalsh``. The decomposition
-carries its numerical support: eigenvalues above the relative clamp
-threshold tau = n * eps * lambda_max; eigenvalues at or below tau count as
-zero-rank directions. Off-support values follow the pseudo-inverse
+carries its numerical support as a rank: the spectrum is sorted descending,
+so the support is its leading ``rank`` eigenvalues, those above the relative
+clamp threshold tau = n * eps * lambda_max; eigenvalues at or below tau count
+as zero-rank directions. Off-support values follow the pseudo-inverse
 convention (f(lambda) = 0 for both positive and negative powers), which keeps
 all spectral functions support-restricted.
 
@@ -32,15 +33,12 @@ _EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectrum sorted descending, the aligned orthonormal eigenvectors (None
-    when only eigenvalues were asked for) and the numerical support mask."""
+    when only eigenvalues were asked for) and the numerical rank: the support
+    is the leading ``rank`` eigenvalues."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    support: np.ndarray
-
-    @property
-    def rank(self):
-        return int(np.count_nonzero(self.support))
+    rank: int
 
     @property
     def clamp_count(self):
@@ -50,12 +48,12 @@ class EigenDecomposition:
     def on_support(self, f):
         """f(lambda) on the support and 0 off it, aligned with the eigenvalues."""
         out = np.zeros_like(self.eigenvalues)
-        out[self.support] = f(self.eigenvalues[self.support])
+        out[: self.rank] = f(self.eigenvalues[: self.rank])
         return out
 
     def power_sum(self, p):
         """Sum of lambda^p over the support."""
-        return float(np.sum(self.eigenvalues[self.support] ** p))
+        return float(np.sum(self.eigenvalues[: self.rank] ** p))
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,8 @@ def _check_symmetric(A):
 def sym_eig(G, vectors=True):
     """Symmetric eigendecomposition with eigenvalues sorted descending.
 
-    Negative eigenvalues are reported as-is; the support mask marks the
-    eigenvalues above clamp_threshold. ``vectors=False`` skips the
+    Negative eigenvalues are reported as-is; the rank counts the eigenvalues
+    above clamp_threshold. ``vectors=False`` skips the
     eigenvectors (``eigvalsh``). Non-finite entries are rejected here, so no
     spectral quantity is ever read off a NaN or inf matrix.
     """
@@ -121,7 +119,8 @@ def sym_eig(G, vectors=True):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise DegenerateMatrixError(f"eigendecomposition failed: {exc}") from exc
     w = w[::-1].copy()
-    return EigenDecomposition(eigenvalues=w, eigenvectors=V, support=w > clamp_threshold(w))
+    rank = int(np.count_nonzero(w > clamp_threshold(w)))
+    return EigenDecomposition(eigenvalues=w, eigenvectors=V, rank=rank)
 
 
 def clamp_threshold(eigenvalues):
@@ -173,7 +172,7 @@ def _support_report(e_in, e_out, overlap):
     overlap = U_in^T U_out, so its block (support of in, nullspace of out)
     is the inner range expressed in the outer nullspace.
     """
-    residual = float(np.linalg.norm(overlap[np.ix_(e_in.support, ~e_out.support)]))
+    residual = float(np.linalg.norm(overlap[: e_in.rank, e_out.rank :]))
     return SupportReport(
         rank_1=e_in.rank,
         rank_2=e_out.rank,

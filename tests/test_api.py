@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gramxent
-from gramxent import ArgumentError, CrossGram, GramMatrix
+from gramxent import ArgumentError, CrossGram, GramMatrix, Partition
 
 
 def test_all_is_sorted_and_is_every_public_non_module_global():
@@ -64,3 +64,55 @@ def test_every_order_taking_estimator_is_covered():
         "nonmirrored_cross_entropy",
         "tripartite_cross_entropy",
     }
+
+
+# Every public function whose matrices must be GramMatrix instances. The
+# spectral primitives take plain arrays too, by design.
+GRAM_TAKERS = [
+    "conditional_entropy",
+    "hadamard_joint",
+    "joint_entropy",
+    "matrix_renyi_entropy",
+    "mirrored_cross_entropy",
+    "mirrored_cross_entropy_two_param",
+    "mirrored_limit_umegaki",
+    "mutual_information",
+    "nonmirrored_cross_entropy",
+    "normalize_trace",
+    "pinch",
+    "trace_distance_bounds",
+    "tripartite_cross_entropy",
+]
+ARRAY_TAKERS = {"matrix_log", "matrix_power", "sym_eig"}
+GRAM_PARAMS = {"G", "G1", "G2", "K", "K1", "K2"}
+
+
+def _plain_array_args(fn):
+    valid = {
+        "alpha": 2.0,
+        "beta": 2.0,
+        "K12": CrossGram(np.eye(2)),
+        "partition": Partition(((0,), (1,))),
+    }
+    return {
+        p: np.eye(2) / 2 if p in GRAM_PARAMS else valid[p]
+        for p in inspect.signature(fn).parameters
+        if p in GRAM_PARAMS or p in valid
+    }
+
+
+@pytest.mark.parametrize("name", GRAM_TAKERS)
+def test_a_plain_array_for_a_gram_is_an_argument_error(name):
+    fn = getattr(gramxent, name)
+    with pytest.raises(ArgumentError, match="must be a GramMatrix"):
+        fn(**_plain_array_args(fn))
+
+
+def test_every_gram_taking_function_is_covered():
+    takers = {
+        name
+        for name in gramxent.__all__
+        if inspect.isfunction(getattr(gramxent, name))
+        and GRAM_PARAMS & set(inspect.signature(getattr(gramxent, name)).parameters)
+    }
+    assert takers == set(GRAM_TAKERS) | ARRAY_TAKERS

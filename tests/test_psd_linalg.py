@@ -14,6 +14,7 @@ from gramxent import (
     sym_eig,
     trace_product,
 )
+from gramxent.psd_linalg import clamp_threshold
 
 
 def rand_psd(seed, n, rank=None):
@@ -52,6 +53,21 @@ def test_sym_eig_reconstruction_and_orthonormality():
     npt.assert_allclose(V.T @ V, np.eye(8), atol=1e-10)
     recon = (V * w) @ V.T
     assert np.linalg.norm(recon - G) / np.linalg.norm(G) < 1e-10
+
+
+def test_an_eigenvalue_at_the_clamp_threshold_is_clamped_and_the_next_float_kept():
+    """With lambda_max = 1 and n = 3, tau = 3 eps exactly: the support is the
+    eigenvalues strictly above it, a leading run of the sorted spectrum."""
+    tau = 3 * np.finfo(float).eps
+    above = np.nextafter(tau, np.inf)
+    assert clamp_threshold([tau, 1.0, above]) == tau
+    G = GramMatrix(np.diag([tau, 1.0, above]))
+    dec = sym_eig(G)
+    assert (dec.rank, dec.clamp_count) == (2, 1)
+    npt.assert_array_equal(dec.eigenvalues, [1.0, above, tau])
+    npt.assert_array_equal(dec.on_support(lambda w: w), [1.0, above, 0.0])
+    assert dec.power_sum(1.0) == 1.0 + above
+    assert matrix_power(G, -1).clamp_count == 1
 
 
 def test_sym_eig_rejects_asymmetric():

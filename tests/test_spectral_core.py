@@ -86,16 +86,7 @@ def test_each_gram_matrix_is_decomposed_once(label, monkeypatch):
     spectrum the value needs (plus one for a mirrored sandwich at a
     non-integer beta)."""
     call, expected = _calls()[label]
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    call()
+    counts = _count_decompositions(monkeypatch, call)
     assert counts["eigh"] + counts["eigvalsh"] == expected, counts
 
 
