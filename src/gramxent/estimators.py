@@ -100,11 +100,13 @@ def _positive_trace(K1):
 class _Pair:
     """K1 and K2 decomposed once, with every bipartite measure read off them.
 
-    Construction checks the trace contract, decomposes each matrix once and
-    forms the overlap O = U1^T U2 and the gating support report (supp K1
-    inside supp K2). Every order of the nonmirrored measure and the Umegaki
-    limit then cost no further decomposition; a mirrored value decomposes
-    only its own sandwich, and only at a non-integer beta.
+    Construction checks the trace contract, decomposes each matrix once (a
+    self pair, K2 the same object as K1, once in all) and forms the overlap
+    O = U1^T U2 and the gating support report (supp K1 inside supp K2). Every
+    order of the nonmirrored measure and the Umegaki limit then cost no
+    further decomposition; a mirrored value decomposes only its own sandwich,
+    only at a non-integer beta, and once per (a, beta): the pair keeps each
+    sandwich trace it has computed.
     """
 
     def __init__(self, K1, K2, raw=False):
@@ -112,7 +114,10 @@ class _Pair:
         _check_trace_contract(K2, "K2", raw)
         if K1.n != K2.n:
             raise ArgumentError(f"size mismatch: {K1.n} vs {K2.n}")
-        e1, e2 = sym_eig(K1), sym_eig(K2)
+        e1 = sym_eig(K1)
+        # a self pair multiplies a copy of U1: numpy forms U1^T U1 as a
+        # symmetric product, whose bits differ from those of two decompositions
+        e2 = replace(e1, eigenvectors=e1.eigenvectors.copy()) if K2 is K1 else sym_eig(K2)
         self.K1 = K1
         self.raw = raw
         self.overlap = e1.eigenvectors.T @ e2.eigenvectors
@@ -120,6 +125,7 @@ class _Pair:
         self.e1, self.e2 = (replace(e, eigenvectors=None) for e in (e1, e2))
         self.support = _support_report(self.e1, self.e2, self.overlap)
         self.clamp_count = self.e1.clamp_count + self.e2.clamp_count
+        self._sandwiches = {}
 
     def nonmirrored_trace(self, a):
         """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports."""
@@ -128,6 +134,12 @@ class _Pair:
         return float(p1 @ (self.overlap * self.overlap) @ p2)
 
     def mirrored_trace(self, a, beta):
+        """tr(M^beta) and M's clamp count, computed once per (a, beta) on this pair."""
+        if (a, beta) not in self._sandwiches:
+            self._sandwiches[a, beta] = self._sandwich_trace(a, beta)
+        return self._sandwiches[a, beta]
+
+    def _sandwich_trace(self, a, beta):
         """tr(M^beta) for M = K2^((1-a)/2beta) K1^(a/beta) K2^((1-a)/2beta).
 
         In K2's eigenbasis M = B^T B with B = diag(lambda^(a/2beta)) O
@@ -261,7 +273,8 @@ class _Triple:
             raise ArgumentError(
                 f"cross Gram shape {K12.values.shape} inconsistent with ({n}, {m})"
             )
-        _check_finite(K2.values, K12.values)
+        # K12 first: a non-finite K12 is reported before an asymmetric K2
+        _check_finite(K12.values)
         _check_symmetric(K2.values)
         self.K1 = K1
         self.e1 = sym_eig(K1, vectors=False) if e1 is None else e1

@@ -16,6 +16,7 @@ spectra and the overlap O = U1^T U2 of the eigenvectors. ``matrix_power``,
 basis and serve as the reference for those formulas.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,7 +48,7 @@ class EigenDecomposition:
 
     def on_support(self, f):
         """f(lambda) on the support and 0 off it, aligned with the eigenvalues."""
-        out = np.zeros_like(self.eigenvalues)
+        out = np.zeros(self.eigenvalues.shape, self.eigenvalues.dtype)
         out[: self.rank] = f(self.eigenvalues[: self.rank])
         return out
 
@@ -83,18 +84,27 @@ def _as_array(G):
     return G.values if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
 
 
-def _check_finite(*arrays):
-    if not all(np.all(np.isfinite(A)) for A in arrays):
+def _check_finite(A):
+    if not np.all(np.isfinite(A)):
         raise ArgumentError("matrix has non-finite entries")
 
 
 def _check_symmetric(A):
-    """Reject an array that is not square, or whose asymmetry exceeds
-    n * SYMMETRY_RTOL * max|A|."""
+    """Reject, in this order, an array with a non-finite entry, one that is not
+    square, and one whose asymmetry exceeds n * SYMMETRY_RTOL * max|A|.
+
+    scale = max|A|, read off A's max and min with no temporary, is NaN or inf
+    exactly when an entry is; an exactly symmetric array skips the tolerance
+    test.
+    """
+    scale = max(float(A.max()), -float(A.min())) if A.size else 0.0
+    if not math.isfinite(scale):
+        raise ArgumentError("matrix has non-finite entries")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if scale > 0 and float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale * A.shape[0]:
+    if not np.array_equal(A, A.T) and (
+        float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale * A.shape[0]
+    ):
         raise ArgumentError("matrix is not symmetric within tolerance")
 
 
@@ -103,11 +113,10 @@ def sym_eig(G, vectors=True):
 
     Negative eigenvalues are reported as-is; the rank counts the eigenvalues
     above clamp_threshold. ``vectors=False`` skips the
-    eigenvectors (``eigvalsh``). Non-finite entries are rejected here, so no
-    spectral quantity is ever read off a NaN or inf matrix.
+    eigenvectors (``eigvalsh``). The input passes ``_check_symmetric`` first,
+    so no spectral quantity is ever read off a NaN or inf matrix.
     """
     A = _as_array(G)
-    _check_finite(A)
     _check_symmetric(A)
     V = None
     try:
@@ -130,7 +139,7 @@ def clamp_threshold(eigenvalues):
     scaling the matrix scales tau along with it.
     """
     w = np.asarray(eigenvalues, dtype=float)
-    lam_max = float(np.max(w)) if w.size else 0.0
+    lam_max = float(w.max()) if w.size else 0.0
     return w.shape[0] * _EPS * max(lam_max, 0.0)
 
 

@@ -373,6 +373,69 @@ def test_tripartite_rejects_an_asymmetric_k2(m):
         )
 
 
+def test_tripartite_reports_a_non_finite_k12_before_an_asymmetric_k2():
+    rng = np.random.default_rng(13)
+    X = SampleSet(rng.standard_normal((6, 2)))
+    Y = SampleSet(rng.standard_normal((6, 2)))
+    G2 = gram_univariate(GAUSS, Y).values.copy()
+    G2[0, 1] += 1e-3
+    K12 = gram_cross(GAUSS, X, Y).values.copy()
+    K12[2, 3] = np.nan
+    with pytest.raises(ArgumentError, match="non-finite"):
+        tripartite_cross_entropy(gram_univariate(GAUSS, X), CrossGram(K12), GramMatrix(G2), 2.0)
+
+
+# ------------------------------------------------------------ degenerate inputs
+
+BIPARTITE = [
+    lambda K1, K2, a: nonmirrored_cross_entropy(K1, K2, a),
+    lambda K1, K2, a: mirrored_cross_entropy(K1, K2, a),
+    lambda K1, K2, a: mirrored_cross_entropy_two_param(K1, K2, a, max(a, 1.0 - a) + 0.25),
+    lambda K1, K2, a: mirrored_limit_umegaki(K1, K2),
+]
+
+
+def _unit_gram_of(X):
+    return normalize_trace(gram_univariate(GAUSS, SampleSet(X)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.5])
+def test_a_single_sample_gives_zero(alpha):
+    K1, K2 = _unit_gram_of(np.array([[0.3, -1.0]])), _unit_gram_of(np.array([[2.0, 0.5]]))
+    for measure in BIPARTITE:
+        assert measure(K1, K2, alpha).value == 0.0
+    assert matrix_renyi_entropy(K1, alpha) == 0.0
+
+
+def _with_duplicates(seed, distinct, repeats):
+    X = np.random.default_rng(seed).standard_normal((distinct, 3))
+    return np.vstack([X, X[:repeats]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.5])
+def test_duplicate_samples_in_k1_give_finite_values(alpha):
+    """K1's rank is its number of distinct samples; its support stays inside a
+    full-rank K2's."""
+    K1 = _unit_gram_of(_with_duplicates(20, 7, 3))
+    K2 = _unit_gram_of(np.random.default_rng(21).standard_normal((10, 3)))
+    for measure in BIPARTITE:
+        res = measure(K1, K2, alpha)
+        assert math.isfinite(res.value)
+        assert (res.support.rank_1, res.support.rank_2, res.support.included) == (7, 10, True)
+
+
+def test_duplicate_samples_in_k2_give_inf():
+    """Two duplicates in n = 4 leave K2 rank 2, and a full-rank K1 leaks its
+    whole range into K2's 2-dimensional nullspace: residual sqrt(2)."""
+    K1 = _unit_gram_of(np.random.default_rng(22).standard_normal((4, 3)))
+    K2 = _unit_gram_of(_with_duplicates(23, 2, 2))
+    for measure in BIPARTITE:
+        res = measure(K1, K2, 2.0)
+        assert res.value == math.inf
+        assert (res.support.rank_1, res.support.rank_2, res.support.included) == (4, 2, False)
+        assert res.support.residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
 # ------------------------------------------------------------ order invariance
 
 def _draws(seed, n, m, d=4):

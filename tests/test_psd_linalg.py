@@ -14,7 +14,7 @@ from gramxent import (
     sym_eig,
     trace_product,
 )
-from gramxent.psd_linalg import clamp_threshold
+from gramxent.psd_linalg import SYMMETRY_RTOL, clamp_threshold
 
 
 def rand_psd(seed, n, rank=None):
@@ -79,6 +79,33 @@ def test_sym_eig_rejects_asymmetric():
 def test_sym_eig_rejects_a_non_square_array():
     with pytest.raises(ArgumentError, match="square matrix, got shape \\(2, 3\\)"):
         sym_eig(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_a_non_finite_entry_is_reported_before_the_shape(value):
+    M = np.ones((2, 3))
+    M[1, 2] = value
+    with pytest.raises(ArgumentError, match="non-finite"):
+        sym_eig(M)
+
+
+def test_the_asymmetry_bound_is_inclusive():
+    """An asymmetry of exactly n * SYMMETRY_RTOL * max|A| passes; the next
+    float above it is rejected."""
+    n, scale = 3, 4.0
+    bound = SYMMETRY_RTOL * scale * n
+    M = scale * np.eye(n)
+    M[0, 2] = bound
+    assert sym_eig(M).rank == n
+    M[0, 2] = np.nextafter(bound, np.inf)
+    with pytest.raises(ArgumentError, match="not symmetric"):
+        sym_eig(M)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_an_all_zero_matrix_has_rank_zero(n):
+    dec = sym_eig(np.zeros((n, n)))
+    assert (dec.rank, dec.clamp_count) == (0, n)
 
 
 # --------------------------------------------------------------- matrix_power

@@ -66,6 +66,7 @@ def _calls():
         "mirrored": (lambda: mirrored_cross_entropy(K1, K2, 2.0), 2),
         "two-param": (lambda: mirrored_cross_entropy_two_param(K1, K2, 0.5, 0.75), 3),
         "umegaki": (lambda: mirrored_limit_umegaki(K1, K2), 2),
+        "self-pair": (lambda: mirrored_cross_entropy_two_param(K1, K1, 0.5, 2.0), 1),
         "tripartite-square": (
             lambda: tripartite_cross_entropy(G1, gram_cross(GAUSS, X, Y), G2, 2.0), 1
         ),
@@ -122,14 +123,60 @@ def test_runner_draw_decomposes_its_pair_once(monkeypatch):
 def test_property_suite_decomposes_each_pair_once(monkeypatch):
     """Nine pairs per instance (base, self, conjugated, raw, scaled, pinched,
     perturbed, second draw, mixture) and three Kronecker pairs per seed make
-    24 eigh; the two tripartite triples read K1's spectrum off the raw and
-    scaled pairs and add none. A mirrored value or sandwich adds one eigvalsh
-    at a non-integer order and none at an integer one, whose trace is read
-    off matrix products."""
+    23 eigh: the self pair is one matrix, decomposed once. The two tripartite
+    triples read K1's spectrum off the raw and scaled pairs and add none. A
+    mirrored value or sandwich adds one eigvalsh the first time its pair is
+    asked for it at a non-integer (a, beta), and none at an integer beta,
+    whose trace is read off matrix products."""
     counts = _count_decompositions(
         monkeypatch, lambda: run_property_suite(n_seeds=1, sizes=(4,))
     )
-    assert counts == {"eigh": 24, "eigvalsh": 57}
+    assert counts == {"eigh": 23, "eigvalsh": 47}
+
+
+def test_each_sandwich_is_decomposed_once_per_pair(monkeypatch):
+    """Repeated mirrored values and sandwich traces at one (a, beta) share one
+    eigvalsh and keep a fresh pair's bits; a new non-integer beta adds one
+    more and an integer beta none."""
+    _, _, G1, G2 = _grams(0, 12, 12)
+    K1, K2 = normalize_trace(G1), normalize_trace(G2)
+    pair = _Pair(K1, K2)
+    out = []
+
+    def repeated():
+        for _ in range(2):
+            out.append(pair.mirrored(0.5, 0.5))
+            out.append(pair.mirrored_trace(0.5, 0.5))
+
+    assert _count_decompositions(monkeypatch, repeated) == {"eigh": 0, "eigvalsh": 1}
+    assert out[0] == out[2] == _Pair(K1, K2).mirrored(0.5, 0.5)
+    assert out[1] == out[3] == _Pair(K1, K2).mirrored_trace(0.5, 0.5)
+    for beta, eigvalsh in ((0.75, 1), (2.0, 0)):
+        counts = _count_decompositions(monkeypatch, lambda: pair.mirrored(0.5, beta))
+        assert counts == {"eigh": 0, "eigvalsh": eigvalsh}, beta
+
+
+def _duplicate_sample_gram():
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((8, 4))
+    return gram_univariate(GAUSS, SampleSet(np.vstack([X, X[:3]])))
+
+
+@pytest.mark.parametrize(
+    "G", [_grams(0, 12, 12)[2], _duplicate_sample_gram()], ids=["full-rank", "duplicates"]
+)
+def test_a_self_pair_is_decomposed_once(G, monkeypatch):
+    """_Pair(K, K) takes one eigh and gives the bits of _Pair(K, copy of K)."""
+    K = normalize_trace(G)
+    pairs = []
+    counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(K, K)))
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+    same = pairs[0]
+    copy = _Pair(K, GramMatrix(K.values.copy(), normalization=K.normalization))
+    for a in (0.3, 0.5, 2.0, 4.0):
+        assert same.nonmirrored(a) == copy.nonmirrored(a), a
+        assert same.mirrored(a, a) == copy.mirrored(a, a), a
+    assert same.umegaki() == copy.umegaki()
 
 
 @pytest.mark.parametrize("k,eigvalsh", [(PRODUCT_ORDER_MAX, 0), (PRODUCT_ORDER_MAX + 1, 1)])
