@@ -98,10 +98,11 @@ def _positive_trace(K1):
 
 
 class _Pair:
-    """K1 and K2 decomposed once, with every bipartite measure read off them.
+    """K1 and K2 decomposed at most once, with every bipartite measure read off them.
 
-    Construction checks the trace contract, decomposes each matrix once (a
-    self pair, K2 the same object as K1, once in all) and forms the overlap
+    Construction checks the trace contract, takes each matrix's ``sym_eig``
+    from the caller (``e1``, ``e2``, left unchanged) or else decomposes it once
+    (a self pair, K2 the same object as K1, once in all) and forms the overlap
     O = U1^T U2 and the gating support report (supp K1 inside supp K2). Every
     order of the nonmirrored measure and the Umegaki limit then cost no
     further decomposition; a mirrored value decomposes only its own sandwich,
@@ -109,15 +110,16 @@ class _Pair:
     sandwich trace it has computed.
     """
 
-    def __init__(self, K1, K2, raw=False):
+    def __init__(self, K1, K2, raw=False, e1=None, e2=None):
         _check_trace_contract(K1, "K1", raw)
         _check_trace_contract(K2, "K2", raw)
         if K1.n != K2.n:
             raise ArgumentError(f"size mismatch: {K1.n} vs {K2.n}")
-        e1 = sym_eig(K1)
+        e1 = sym_eig(K1) if e1 is None else e1
         # a self pair multiplies a copy of U1: numpy forms U1^T U1 as a
         # symmetric product, whose bits differ from those of two decompositions
-        e2 = replace(e1, eigenvectors=e1.eigenvectors.copy()) if K2 is K1 else sym_eig(K2)
+        if e2 is None:
+            e2 = replace(e1, eigenvectors=e1.eigenvectors.copy()) if K2 is K1 else sym_eig(K2)
         self.K1 = K1
         self.raw = raw
         self.overlap = e1.eigenvectors.T @ e2.eigenvectors

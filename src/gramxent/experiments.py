@@ -215,11 +215,11 @@ def _check_unread(config, *names):
             raise ArgumentError(f"{config.experiment} does not use {name}; leave it unset")
 
 
-def _bipartite_rows(experiment, family, K1, K2, parameter, d, r, alpha_grid):
-    """Nonmirrored and mirrored rows of one Gram pair over every order, all
-    read off one decomposition of the pair."""
+def _bipartite_rows(experiment, family, K1, K2, parameter, d, r, alpha_grid, e1=None):
+    """Nonmirrored and mirrored rows of one Gram pair over every order, all read
+    off one decomposition of each matrix; ``e1`` is K1's, when the caller has it."""
     n = K1.n
-    pair = _Pair(K1, K2)
+    pair = _Pair(K1, K2, e1=e1)
     return [
         ResultRow(
             experiment, family, float(a), float(parameter),
@@ -290,12 +290,13 @@ def _sweep_rows(config, grid, blue_builder):
                 _child_seed(config.seed, r, 1)
             ).standard_normal((n, d))
             K_red = normalize_trace(gram_univariate(spec, red))
+            e_red = sym_eig(K_red)  # one spectrum of the red Gram serves every cell
             for p in grid:
                 blue = SampleSet(blue_builder(blue_base, float(p), config))
                 rows += _bipartite_rows(
                     config.experiment, spec.family, K_red,
                     normalize_trace(gram_univariate(spec, blue)),
-                    p, d, r, config.alpha_grid,
+                    p, d, r, config.alpha_grid, e_red,
                 )
     return sorted(rows, key=ResultRow.key)
 

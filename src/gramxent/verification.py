@@ -30,6 +30,7 @@ from .kernels import (
     gram_univariate,
     normalize_trace,
 )
+from .psd_linalg import sym_eig
 
 TAMPER_MODES = ("scaling",)
 
@@ -189,9 +190,9 @@ def run_property_suite(
     for k in range(n_seeds):
         for si, n in enumerate(sizes):
             (K1, K2, K3, K4), (G1, G2), C12 = _draw_instance(seed, k, si, n, spec)
-            # one decomposed pair per compared matrix pair; the base values
-            # are reused by several checks below
-            base = _Pair(K1, K2)
+            # one spectrum per matrix, shared by the base, self and perturbed pairs
+            e1, e2 = sym_eig(K1), sym_eig(K2)
+            base = _Pair(K1, K2, e1=e1, e2=e2)
             c_non = {a: base.nonmirrored(a).value for a in alphas}
             c_mir = {a: base.mirrored(a, a).value for a in alphas}
             # the tripartite triple reads K1's spectrum off the raw pair
@@ -200,7 +201,7 @@ def run_property_suite(
             c_tri = {a: tri.result(a).value for a in alphas}
             tally["cip-non-negativity"].append(max(0.0, -tri.cip))
 
-            same = _Pair(K1, K1)
+            same = _Pair(K1, K1, e1=e1)
             for a in alphas:
                 for value in _measures(same, a):
                     tally["nullity"].append(abs(value))
@@ -242,7 +243,7 @@ def run_property_suite(
             part = halves(n)
             pinched = _Pair(pinch(K1, part), pinch(K2, part))
             for a in alphas:
-                if 0.0 < a <= 2.0:
+                if a <= 2.0:
                     tally["pinching-dpi"].append(max(0.0, pinched.nonmirrored(a).value - c_non[a]))
                 if a >= 0.5:
                     tally["pinching-dpi"].append(max(0.0, pinched.mirrored(a, a).value - c_mir[a]))
@@ -252,7 +253,7 @@ def run_property_suite(
                 S = noise_rng.standard_normal((n, n))
                 S = 0.5 * (S + S.T)
                 noise = 1e-6 * S / np.linalg.norm(S)
-                perturbed = _Pair(normalize_trace(GramMatrix(K1.values + noise)), K2)
+                perturbed = _Pair(normalize_trace(GramMatrix(K1.values + noise)), K2, e2=e2)
                 for a in alphas:
                     tally["continuity"].append(abs(perturbed.nonmirrored(a).value - c_non[a]))
                     tally["continuity"].append(abs(perturbed.mirrored(a, a).value - c_mir[a]))
@@ -260,7 +261,7 @@ def run_property_suite(
             other = _Pair(K3, K4)
             mixed = _Pair(_mix(K1, K3), _mix(K2, K4), raw=True)
             for a in alphas:
-                if a != 1.0 and a <= 2.0:
+                if a <= 2.0:
                     mid = mixed.nonmirrored_trace(a)
                     avg = 0.5 * (base.nonmirrored_trace(a) + other.nonmirrored_trace(a))
                     gap = mid - avg if a > 1.0 else avg - mid

@@ -7,7 +7,9 @@ matrix_log, trace_product, support_included), so the two routes share only
 sym_eig.
 """
 
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,8 +36,11 @@ from gramxent import (
     default_config,
     normalize_trace,
     random_orthogonal,
+    run_convergence,
+    run_mean_shift,
     run_property_suite,
     run_tripartite,
+    run_variance_scale,
     support_included,
     trace_distance_bounds,
     trace_product,
@@ -121,17 +126,18 @@ def test_runner_draw_decomposes_its_pair_once(monkeypatch):
 
 
 def test_property_suite_decomposes_each_pair_once(monkeypatch):
-    """Nine pairs per instance (base, self, conjugated, raw, scaled, pinched,
-    perturbed, second draw, mixture) and three Kronecker pairs per seed make
-    23 eigh: the self pair is one matrix, decomposed once. The two tripartite
-    triples read K1's spectrum off the raw and scaled pairs and add none. A
-    mirrored value or sandwich adds one eigvalsh the first time its pair is
-    asked for it at a non-integer (a, beta), and none at an integer beta,
-    whose trace is read off matrix products."""
+    """An instance decomposes K1 and K2 once for the base, self and perturbed
+    pairs, and each of its other six pairs (conjugated, raw, scaled, pinched,
+    second draw, mixture) once per matrix; with the three Kronecker pairs of
+    the seed that makes 2 + 12 + 7 = 21 eigh. The two tripartite triples read
+    K1's spectrum off the raw and scaled pairs and add none. A mirrored value
+    or sandwich adds one eigvalsh the first time its pair is asked for it at a
+    non-integer (a, beta), and none at an integer beta, whose trace is read
+    off matrix products."""
     counts = _count_decompositions(
         monkeypatch, lambda: run_property_suite(n_seeds=1, sizes=(4,))
     )
-    assert counts == {"eigh": 23, "eigvalsh": 47}
+    assert counts == {"eigh": 21, "eigvalsh": 47}
 
 
 def test_each_sandwich_is_decomposed_once_per_pair(monkeypatch):
@@ -201,6 +207,121 @@ def test_tripartite_runner_decomposes_k1_once_per_replicate(monkeypatch):
     assert config.replicates == 5 and config.m != config.n_grid[0]
     counts = _count_decompositions(monkeypatch, lambda: run_tripartite(config))
     assert counts == {"eigh": 0, "eigvalsh": 5}
+
+
+_RUNS = {
+    "convergence": lambda: run_convergence(
+        default_config("convergence", replicates=2, n_grid=(16, 64, 128))
+    ),
+    "mean-shift": lambda: run_mean_shift(default_config("mean-shift")),
+    "variance-scale": lambda: run_variance_scale(default_config("variance-scale")),
+    "tripartite": lambda: run_tripartite(default_config("tripartite")),
+    "property-suite": lambda: run_property_suite(n_seeds=1),
+}
+
+
+@pytest.mark.parametrize(
+    "label,expected",
+    [
+        ("mean-shift", {"eigh": 100, "eigvalsh": 180}),
+        ("variance-scale", {"eigh": 60, "eigvalsh": 100}),
+    ],
+    ids=["mean-shift", "variance-scale"],
+)
+def test_sweep_runner_decomposes_the_red_gram_once_per_replicate(label, expected, monkeypatch):
+    """Per kernel (two at the defaults) and replicate (five), one eigh of the
+    red Gram and one per blue Gram of the grid (nine shifts, five scales); a
+    mirrored value adds the eigvalsh of its sandwich at the non-integer orders
+    0.5 and 1.5."""
+    assert _count_decompositions(monkeypatch, _RUNS[label]) == expected
+
+
+def _decomposed_inputs(monkeypatch, call):
+    """A digest of the dtype, shape and bytes of every matrix handed to numpy's
+    eigh or eigvalsh during call()."""
+    digests = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(A, *args, _original=original, **kwargs):
+            B = np.asarray(A)
+            head = f"{B.dtype}{B.shape}".encode()
+            digests.append(hashlib.sha256(head + B.tobytes()).hexdigest())
+            return _original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    call()
+    return digests
+
+
+@pytest.mark.parametrize("label", sorted(_RUNS))
+def test_no_matrix_is_decomposed_twice_per_run(label, monkeypatch):
+    """Every runner and the property suite hand each matrix they decompose to
+    eigh or eigvalsh once: a spectrum one pair or triple needs again is passed
+    on, never recomputed."""
+    digests = _decomposed_inputs(monkeypatch, _RUNS[label])
+    assert digests
+    repeated = {d: c for d, c in Counter(digests).items() if c > 1}
+    assert not repeated, f"{len(repeated)} matrices decomposed more than once"
+
+
+def _pair_measures(pair):
+    """Every CrossEntropyResult a pair gives: both measures at four orders,
+    the two-parameter measure at beta = 0.75 and the Umegaki limit."""
+    out = []
+    for a in (0.3, 0.5, 2.0, 4.0):
+        out += [pair.nonmirrored(a), pair.mirrored(a, a)]
+    return out + [pair.mirrored(0.5, 0.75), pair.umegaki()]
+
+
+def _spectra_in_cases():
+    """(K1, K2, raw): a full-rank pair, a duplicate-sample K2 whose support
+    misses K1's (the +inf gate) and a raw pair."""
+    _, _, G1, G2 = _grams(0, 12, 12)
+    _, _, F1, _ = _grams(2, 11, 11)
+    return {
+        "full-rank": (normalize_trace(G1), normalize_trace(G2), False),
+        "duplicates": (normalize_trace(F1), normalize_trace(_duplicate_sample_gram()), False),
+        "raw": (G1, G2, True),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_spectra_in_cases()))
+def test_a_pair_handed_its_spectra_matches_the_matrix_pair(label, monkeypatch):
+    """_Pair given both sym_eig decompositions makes none, leaves them as they
+    were and gives every result of the pair that decomposes K1 and K2 itself."""
+    K1, K2, raw = _spectra_in_cases()[label]
+    e1, e2 = sym_eig(K1), sym_eig(K2)
+    before = [e.eigenvectors.tobytes() for e in (e1, e2)]
+    pairs = []
+    counts = _count_decompositions(
+        monkeypatch, lambda: pairs.append(_Pair(K1, K2, raw, e1=e1, e2=e2))
+    )
+    assert counts == {"eigh": 0, "eigvalsh": 0}
+    assert [e.eigenvectors.tobytes() for e in (e1, e2)] == before
+    expected = _Pair(K1, K2, raw)
+    assert pairs[0].overlap.tobytes() == expected.overlap.tobytes()
+    assert _pair_measures(pairs[0]) == _pair_measures(expected)
+    if label == "duplicates":
+        assert not expected.support.included and expected.nonmirrored(2.0).value == math.inf
+
+
+@pytest.mark.parametrize(
+    "G", [_grams(0, 12, 12)[2], _duplicate_sample_gram()], ids=["full-rank", "duplicates"]
+)
+def test_a_self_pair_handed_its_spectrum_matches_the_matrix_self_pair(G, monkeypatch):
+    """_Pair(K, K, e1=sym_eig(K)) decomposes nothing, keeps the caller's
+    eigenvectors and has the bits of _Pair(K, K)."""
+    K = normalize_trace(G)
+    e = sym_eig(K)
+    before = e.eigenvectors.tobytes()
+    pairs = []
+    counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(K, K, e1=e)))
+    assert counts == {"eigh": 0, "eigvalsh": 0}
+    assert e.eigenvectors.tobytes() == before
+    expected = _Pair(K, K)
+    assert pairs[0].overlap.tobytes() == expected.overlap.tobytes()
+    assert _pair_measures(pairs[0]) == _pair_measures(expected)
 
 
 def _poisoned(K, value):
