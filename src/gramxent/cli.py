@@ -87,14 +87,16 @@ def _load_config_file(path, known):
 
 
 def _settings(args, known):
-    """Flag values over config-file values for the keys in known, grids as
-    tuples; the seed falls back to GRAMXENT_SEED, then 0."""
+    """Flag values over config-file values for the keys in known, each grid a
+    tuple of its annotated item type; the seed falls back to GRAMXENT_SEED,
+    then 0."""
     values = _load_config_file(args.config, known) if args.config else {}
     for key in known:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+        if isinstance(values.get(key), list):
+            values[key] = tuple(map(typing.get_args(known[key])[0], values[key]))
     if "seed" not in values:
         values["seed"] = int(os.environ.get("GRAMXENT_SEED", 0))
     return values
@@ -116,14 +118,10 @@ def _run_experiment(experiment, args):
 def _run_properties(args):
     call = _SUITE.bind(**_settings(args, _PROPERTY_KEYS), tamper=args.tamper)
     call.apply_defaults()
-    settings = call.arguments
-    reports = run_property_suite(**settings)
+    reports = run_property_suite(**call.arguments)
+    # the report restates the resolved settings, in the suite's parameter order
     payload = {
-        "seed": settings["seed"],
-        "sizes": list(settings["sizes"]),
-        "alpha_grid": [float(a) for a in settings["alpha_grid"]],
-        "n_seeds": settings["n_seeds"],
-        "tamper": args.tamper,
+        **call.arguments,
         "passed": all(r.passed for r in reports),
         "properties": [dataclasses.asdict(r) for r in reports],
     }

@@ -39,21 +39,18 @@ class ContractError(GramxentError):
 
 
 class NumericalDegeneracyError(GramxentError):
-    """A trace argument collapsed to <= 0 after eigenvalue clamping.
+    """A trace or power sum whose log is taken is not positive: it collapsed
+    to <= 0 after eigenvalue clamping, underflowed, or overflowed to NaN.
 
     Carries diagnostics so the failure is actionable.
     """
 
-    def __init__(self, message, *, trace_value=None, clamp_count=None):
+    def __init__(self, message, *, trace_value, clamp_count):
         self.trace_value = trace_value
         self.clamp_count = clamp_count
-        detail = message
-        if trace_value is not None:
-            detail += f" (trace argument {trace_value:.6g}"
-            if clamp_count is not None:
-                detail += f", {clamp_count} eigenvalues clamped"
-            detail += ")"
-        super().__init__(detail)
+        super().__init__(
+            f"{message} (trace argument {trace_value:.6g}, {clamp_count} eigenvalues clamped)"
+        )
 
 
 class ParseError(GramxentError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, ContractError, DegenerateMatrixError, NumericalDegeneracyError
-from .kernels import RAW, UNIT_TRACE, CrossGram, _check_gram, hadamard_joint
+from .kernels import RAW, UNIT_TRACE, CrossGram, _check_gram, _positive_trace, hadamard_joint
 from .psd_linalg import SupportReport, _check_finite, _check_symmetric, _support_report, sym_eig
 
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
@@ -90,11 +90,14 @@ def _check_trace_contract(K, name, raw):
         raise ContractError(f"{name} is flagged unit-trace but has trace {K.trace():.6g}")
 
 
-def _positive_trace(K1):
-    tr = K1.trace()
-    if not (tr > 0):
-        raise DegenerateMatrixError(f"first argument has nonpositive trace {tr:.6g}")
-    return tr
+def _log_trace(name, t, clamp_count):
+    """log t for a trace or power sum t; a t that is not positive (NaN
+    included) is a NumericalDegeneracyError carrying t and the clamp count."""
+    if not (t > 0):
+        raise NumericalDegeneracyError(
+            f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
+        )
+    return math.log(t)
 
 
 class _Pair:
@@ -130,10 +133,12 @@ class _Pair:
         self._sandwiches = {}
 
     def nonmirrored_trace(self, a):
-        """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports."""
-        p1 = self.e1.on_support(lambda w: np.power(w, a))
-        p2 = self.e2.on_support(lambda w: np.power(w, 1.0 - a))
-        return float(p1 @ (self.overlap * self.overlap) @ p2)
+        """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports;
+        a power overflowing at a large order leaves it inf or NaN, not a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            p1 = self.e1.on_support(lambda w: np.power(w, a))
+            p2 = self.e2.on_support(lambda w: np.power(w, 1.0 - a))
+            return float(p1 @ (self.overlap * self.overlap) @ p2)
 
     def mirrored_trace(self, a, beta):
         """tr(M^beta) and M's clamp count, computed once per (a, beta) on this pair."""
@@ -179,12 +184,9 @@ class _Pair:
     def _log_ratio(self, a, name, t, clamped):
         """(a-1)^-1 [log t - log tr(K1)] for the trace t of an included pair; under
         the unit-trace contract log tr(K1) is 0, not computed as log(1 + eps)."""
-        if not (t > 0):
-            raise NumericalDegeneracyError(
-                f"{name} trace collapsed", trace_value=t, clamp_count=self.clamp_count + clamped
-            )
-        log_tr1 = math.log(_positive_trace(self.K1)) if self.raw else 0.0
-        return (math.log(t) - log_tr1) / (a - 1.0), clamped
+        log_t = _log_trace(name, t, self.clamp_count + clamped)
+        log_tr1 = math.log(_positive_trace(self.K1, "K1")) if self.raw else 0.0
+        return (log_t - log_tr1) / (a - 1.0), clamped
 
     def nonmirrored(self, alpha):
         """The nonmirrored measure at ``alpha``; +inf when supp K1 is not inside supp K2."""
@@ -205,7 +207,7 @@ class _Pair:
 
         def measure():
             # a rank-0 K1 (forced by an included rank-0 K2) has a nonpositive trace
-            tr1 = _positive_trace(self.K1)
+            tr1 = _positive_trace(self.K1, "K1")
             # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
             log1 = self.e1.on_support(np.log)
             log2 = self.e2.on_support(np.log)
@@ -290,10 +292,9 @@ class _Triple:
         if self.cip < ZERO_CIP_FLOOR:
             sentinel = -math.inf if a > 1.0 else math.inf
             return CrossEntropyResult(sentinel, a, degenerate=DEGENERATE_ZERO_CIP)
-        tr1 = _positive_trace(self.K1)
         # the spectrum of nt(K1) is K1's divided by its trace
-        s = float(np.sum((self.e1.eigenvalues[: self.e1.rank] / tr1) ** a))
-        entropy_term = math.log(s) / (a - 1.0)
+        s = self.e1.power_sum(a, _positive_trace(self.K1, "K1"))
+        entropy_term = _log_trace("tripartite", s, self.e1.clamp_count) / (a - 1.0)
         value = math.log(self.cip) / (a - 1.0) + entropy_term
         return CrossEntropyResult(
             value=value,
@@ -327,10 +328,8 @@ def matrix_renyi_entropy(K, alpha):
     """
     a = _order(alpha)
     _check_trace_contract(K, "K", raw=False)
-    s = sym_eig(K, vectors=False).power_sum(a)
-    if not (s > 0):
-        raise DegenerateMatrixError("entropy of a rank-0 matrix")
-    return math.log(s) / (1.0 - a)
+    eig = sym_eig(K, vectors=False)
+    return _log_trace("entropy", eig.power_sum(a), eig.clamp_count) / (1.0 - a)
 
 
 def joint_entropy(K1, K2, alpha):

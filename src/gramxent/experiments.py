@@ -3,7 +3,8 @@
 Each runner is a pure function of its ExperimentConfig: sample draws come
 from seeds derived with SeedSequence, grid cells are evaluated in a
 deterministic order, and rows are sorted on the key columns before emission,
-so a rerun with the same config is byte-identical.
+so a rerun with the same config is byte-identical at a fixed BLAS thread
+count (``OPENBLAS_NUM_THREADS=1`` reproduces a file on another machine).
 
 Each experiment's defaults are the ExperimentConfig field defaults with the
 entries of ``_DEFAULTS`` on top. The sweep sample scales were tuned so the

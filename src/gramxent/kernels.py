@@ -96,6 +96,14 @@ def _check_gram(G, name):
         raise ArgumentError(f"{name} must be a GramMatrix")
 
 
+def _positive_trace(G, name):
+    """tr(G), a DegenerateMatrixError unless it is positive."""
+    tr = G.trace()
+    if not (tr > 0):
+        raise DegenerateMatrixError(f"{name} has nonpositive trace {tr:.6g}")
+    return tr
+
+
 @dataclass(frozen=True)
 class CrossGram:
     """Rectangular n x m kernel matrix between two sample sets.
@@ -188,10 +196,7 @@ def normalize_trace(G):
     _check_gram(G, "G")
     if G.normalization == UNIT_TRACE:
         return G
-    tr = G.trace()
-    if not (tr > 0):
-        raise DegenerateMatrixError(f"cannot trace-normalize: trace = {tr:.6g}")
-    return GramMatrix(G.values / tr, normalization=UNIT_TRACE)
+    return GramMatrix(G.values / _positive_trace(G, "G"), normalization=UNIT_TRACE)
 
 
 def hadamard_joint(G1, G2):

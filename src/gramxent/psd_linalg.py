@@ -52,9 +52,9 @@ class EigenDecomposition:
         out[: self.rank] = f(self.eigenvalues[: self.rank])
         return out
 
-    def power_sum(self, p):
-        """Sum of lambda^p over the support."""
-        return float(np.sum(self.eigenvalues[: self.rank] ** p))
+    def power_sum(self, p, scale=1.0):
+        """Sum of (lambda / scale)^p over the support."""
+        return float(np.sum((self.eigenvalues[: self.rank] / scale) ** p))
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,19 @@ def _as_array(G):
 
 
 def _check_finite(A):
-    if not np.all(np.isfinite(A)):
+    """max|A|, read off A's max and min with no temporary; an ArgumentError
+    when that is NaN or inf, as it is exactly when an entry is."""
+    scale = max(float(A.max()), -float(A.min())) if A.size else 0.0
+    if not math.isfinite(scale):
         raise ArgumentError("matrix has non-finite entries")
+    return scale
 
 
 def _check_symmetric(A):
     """Reject, in this order, an array with a non-finite entry, one that is not
-    square, and one whose asymmetry exceeds n * SYMMETRY_RTOL * max|A|.
-
-    scale = max|A|, read off A's max and min with no temporary, is NaN or inf
-    exactly when an entry is; an exactly symmetric array skips the tolerance
-    test.
-    """
-    scale = max(float(A.max()), -float(A.min())) if A.size else 0.0
-    if not math.isfinite(scale):
-        raise ArgumentError("matrix has non-finite entries")
+    square, and one whose asymmetry exceeds n * SYMMETRY_RTOL * max|A|; an
+    exactly symmetric array skips the tolerance test."""
+    scale = _check_finite(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
     if not np.array_equal(A, A.T) and (

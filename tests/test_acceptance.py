@@ -350,6 +350,8 @@ def test_criterion_8_order_one_bounds():
 
 
 def test_criterion_9_determinism(tmp_path):
+    """Reruns of a config write byte-identical files, at a fixed BLAS thread
+    count; OPENBLAS_NUM_THREADS=1 reproduces them on another machine."""
     configs = [
         default_config(
             "mean-shift", n_grid=(16,), d_grid=(2,), alpha_grid=(0.5, 2.0),

@@ -188,6 +188,36 @@ def test_nonmirrored_reports_a_collapsed_trace():
     assert exc.value.clamp_count == 3
 
 
+# At order 2000 every power sum of a 16-point gaussian Gram underflows to 0,
+# and a self pair's K^(1-a) overflows; each is checked under the suite's
+# RuntimeWarning filter, so a leaked numpy warning fails it.
+LARGE_ORDER_CALLS = {
+    "tripartite": lambda X, Y, a: tripartite_cross_entropy(
+        gram_univariate(GAUSS, X), gram_cross(GAUSS, X, Y), gram_univariate(GAUSS, Y), a
+    ).value,
+    "entropy": lambda X, Y, a: matrix_renyi_entropy(unit(X), a),
+    "mutual-information": lambda X, Y, a: mutual_information(unit(X), unit(Y), a),
+    "nonmirrored-self-pair": lambda X, Y, a: nonmirrored_cross_entropy(unit(X), unit(X), a).value,
+}
+
+
+def unit(X):
+    return normalize_trace(gram_univariate(GAUSS, X))
+
+
+@pytest.mark.parametrize("measure", sorted(LARGE_ORDER_CALLS))
+def test_large_order_reports_a_collapsed_trace(measure):
+    """A power sum that underflows, or a trace that overflows to NaN, is the
+    same NumericalDegeneracyError as a clamped-away trace, with its value."""
+    rng = np.random.default_rng(5)
+    X, Y = (SampleSet(rng.standard_normal((16, 3)) + shift) for shift in (0.0, 0.5))
+    assert math.isfinite(LARGE_ORDER_CALLS[measure](X, Y, 4.0))
+    with pytest.raises(NumericalDegeneracyError, match="trace collapsed") as exc:
+        LARGE_ORDER_CALLS[measure](X, Y, 2000.0)
+    assert not (exc.value.trace_value > 0)
+    assert exc.value.clamp_count >= 0
+
+
 # ---------------------------------------------------------------- two-param
 
 def test_two_param_recovers_mirrored_at_beta_alpha():

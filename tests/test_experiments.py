@@ -431,6 +431,37 @@ def test_cli_properties_tamper_exits_2(tmp_path):
     assert failed == ["scaling-law"]
 
 
+def test_cli_properties_writes_its_report_to_stdout(tmp_path, capsys):
+    """Without --out the report goes to stdout, byte for byte the --out file."""
+    code, payload = run_properties_cli(tmp_path)
+    argv = ["properties", "--n", "4", "--seeds", "1", "--alpha", "0.5", "--alpha", "2.0"]
+    assert main(argv) == code
+    text = capsys.readouterr().out
+    assert text == open(tmp_path / "props.json").read()
+    assert json.loads(text) == payload
+
+
+def test_cli_properties_report_restates_settings_as_typed(tmp_path, monkeypatch, capsys):
+    """An integer order from a config file is reported as the float the suite runs."""
+    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
+    config = {"alpha_grid": [0.5, 2], "sizes": [4], "n_seeds": 1}
+    cfg = write(tmp_path, "cfg.json", json.dumps(config))
+    assert main(["properties", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert '"alpha_grid": [\n  0.5,\n  2.0\n ]' in text
+    payload = json.loads(text)
+    assert [payload[k] for k in ("seed", "sizes", "n_seeds", "tamper")] == [0, [4], 1, None]
+
+
+def test_cli_reports_a_collapsed_trace_not_a_math_domain_error(capsys):
+    """At order 2000 the tripartite entropy term underflows to 0."""
+    argv = ["tripartite", "--alpha", "2000", "--n", "16", "--shift", "0", "--scale", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "trace collapsed" in err
+    assert "math domain error" not in err
+
+
 def test_cli_seed_precedence(tmp_path, monkeypatch):
     cfg = write(tmp_path, "cfg.json", json.dumps({"seed": 3}))
     monkeypatch.setenv("GRAMXENT_SEED", "9")

@@ -228,6 +228,12 @@ def test_normalize_zero_trace_degenerate():
         normalize_trace(GramMatrix(np.zeros((2, 2))))
 
 
+def test_normalize_names_a_nonpositive_trace():
+    """normalize_trace and the estimators state one positive-trace rule."""
+    with pytest.raises(DegenerateMatrixError, match="nonpositive trace"):
+        normalize_trace(GramMatrix(np.zeros((2, 2))))
+
+
 # ------------------------------------------------------------- hadamard_joint
 
 def test_hadamard_all_ones_fixed_point():
