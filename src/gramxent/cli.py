@@ -16,6 +16,7 @@ import typing
 
 from .errors import ArgumentError, GramxentError
 from .experiments import (
+    OUTPUT_FORMATS,
     RUNNERS,
     ExperimentConfig,
     default_config,
@@ -53,7 +54,7 @@ def _add_experiment_flags(p):
     p.add_argument(
         "--out", dest="output_path", metavar="OUT", help="output path (default: stdout)"
     )
-    p.add_argument("--format", dest="out_format", choices=("csv", "json"))
+    p.add_argument("--format", dest="out_format", choices=OUTPUT_FORMATS)
     p.add_argument("--config", default=None, help="JSON config file; flags override")
 
 

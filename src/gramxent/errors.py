@@ -39,8 +39,9 @@ class ContractError(GramxentError):
 
 
 class NumericalDegeneracyError(GramxentError):
-    """A trace or power sum whose log is taken is not positive: it collapsed
-    to <= 0 after eigenvalue clamping, underflowed, or overflowed to NaN.
+    """A trace or power sum whose log is taken is not positive and finite: it
+    collapsed to <= 0 after eigenvalue clamping, underflowed, or overflowed to
+    inf or NaN (a bipartite +inf means only that supp K1 is not inside supp K2).
 
     Carries diagnostics so the failure is actionable.
     """

@@ -12,8 +12,8 @@ The bipartite measures are read off one decomposed pair (``_Pair``), the
 tripartite measure off one validated triple (``_Triple``): a caller needing
 several orders builds either once instead of calling the estimators per order.
 
-Bipartite measures return +inf when the support of K1 is not contained in
-the support of K2; this is exact for every order (negative powers of K2 only
+Bipartite measures return +inf when, and only when, the support of K1 is not
+contained in the support of K2, at every order (negative powers of K2 only
 arise for a > 1, but the sentinel convention is uniform).
 
 Under the unit-trace input contract the log tr(K1) term is identically zero
@@ -63,9 +63,10 @@ def _order(alpha):
 class CrossEntropyResult:
     """Estimator value plus diagnostics.
 
-    ``support`` is the report that gates a bipartite measure's +inf (rank_1
-    is K1's rank, rank_2 is K2's); the tripartite measure, which no support
-    test gates, leaves it None. ``clamp_count`` totals the
+    A bipartite value is +inf only when ``support`` (rank_1 is K1's rank, rank_2
+    K2's) finds supp K1 not inside supp K2; a trace that is not positive and
+    finite raises NumericalDegeneracyError. The tripartite measure, which no
+    support test gates, leaves ``support`` None. ``clamp_count`` totals the
     eigenvalues clamped across every spectral function in the evaluation.
     ``entropy_term`` is only set by the tripartite measure.
     """
@@ -91,9 +92,9 @@ def _check_trace_contract(K, name, raw):
 
 
 def _log_trace(name, t, clamp_count):
-    """log t for a trace or power sum t; a t that is not positive (NaN
-    included) is a NumericalDegeneracyError carrying t and the clamp count."""
-    if not (t > 0):
+    """log t for a trace or power sum t; a t outside (0, inf), NaN included, is
+    a NumericalDegeneracyError carrying t and the clamp count."""
+    if not (0 < t < math.inf):
         raise NumericalDegeneracyError(
             f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
         )
@@ -141,9 +142,10 @@ class _Pair:
             return float(p1 @ (self.overlap * self.overlap) @ p2)
 
     def mirrored_trace(self, a, beta):
-        """tr(M^beta) and M's clamp count, computed once per (a, beta) on this pair."""
+        """tr(M^beta) and M's clamp count, once per (a, beta); an overflow leaves inf or NaN."""
         if (a, beta) not in self._sandwiches:
-            self._sandwiches[a, beta] = self._sandwich_trace(a, beta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._sandwiches[a, beta] = self._sandwich_trace(a, beta)
         return self._sandwiches[a, beta]
 
     def _sandwich_trace(self, a, beta):
@@ -160,18 +162,17 @@ class _Pair:
         B = self.e1.on_support(lambda w: np.power(w, inner / 2.0))[:, None] * self.overlap
         B *= self.e2.on_support(lambda w: np.power(w, outer))
         M = B.T @ B
+        # test M's entries, not tr(M): tr(M) can overflow where tr(M^beta) does not
+        scale = max(float(M.max()), -float(M.min()))
+        if not math.isfinite(scale):
+            return scale, 0
         k = int(beta)
         if k != beta or k > PRODUCT_ORDER_MAX:
             eig = sym_eig(M, vectors=False)
             return eig.power_sum(beta), eig.clamp_count
-        _check_finite(M)
-        # M is finite, so a non-finite sum is a trace overflowing the float
-        # range; an overflowed power meeting a zero row of M is inf * 0 = NaN
-        with np.errstate(invalid="ignore"):
-            P = np.linalg.matrix_power(M, k // 2)
-            Q = P if k % 2 == 0 else B @ P
-            t = float(np.sum(Q * Q))
-        return (t if math.isfinite(t) else math.inf), 0
+        P = np.linalg.matrix_power(M, k // 2)
+        Q = P if k % 2 == 0 else B @ P
+        return float(np.sum(Q * Q)), 0
 
     def _gated(self, a, measure):
         """+inf at order ``a`` when supp K1 is not inside supp K2, else the value

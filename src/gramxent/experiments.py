@@ -46,6 +46,7 @@ MEASURE_NONMIRRORED = "nonmirrored"
 MEASURE_MIRRORED = "mirrored"
 MEASURE_TRIPARTITE_SHIFT = "tripartite-shift"
 MEASURE_TRIPARTITE_SCALE = "tripartite-scale"
+OUTPUT_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ class ExperimentConfig:
             raise ArgumentError(
                 f"sample_scale must be positive and finite, got {self.sample_scale}"
             )
-        if self.out_format not in ("csv", "json"):
-            raise ArgumentError(f"format must be csv or json, got {self.out_format!r}")
+        if self.out_format not in OUTPUT_FORMATS:
+            raise ArgumentError(f"format must be one of {OUTPUT_FORMATS}, got {self.out_format!r}")
 
 
 # Each experiment's departures from the ExperimentConfig field defaults.
@@ -276,6 +277,14 @@ def _one_value(config, name):
     return grid[0]
 
 
+def _draws(config, n, m, d):
+    """Per replicate: r, its n red draws (seed path (r, 0)) and m x d blue base ((r, 1))."""
+    for r in range(config.replicates):
+        red = sample_gaussian(_child_seed(config.seed, r, 0), n, d, scale=config.sample_scale)
+        base = np.random.default_rng(_child_seed(config.seed, r, 1)).standard_normal((m, d))
+        yield r, red, base
+
+
 def _sweep_rows(config, grid, blue_builder):
     """Shared bipartite sweep: fixed red set, blue set transformed per cell."""
     n = _one_value(config, "n_grid")
@@ -283,13 +292,7 @@ def _sweep_rows(config, grid, blue_builder):
     rows = []
     specs = (KernelSpec(GAUSSIAN, 1.0), KernelSpec(EXP_INNER_PRODUCT, 1.0))
     for spec in (config.kernel,) if config.kernel else specs:
-        for r in range(config.replicates):
-            red = sample_gaussian(
-                _child_seed(config.seed, r, 0), n, d, scale=config.sample_scale
-            )
-            blue_base = np.random.default_rng(
-                _child_seed(config.seed, r, 1)
-            ).standard_normal((n, d))
+        for r, red, blue_base in _draws(config, n, n, d):
             K_red = normalize_trace(gram_univariate(spec, red))
             e_red = sym_eig(K_red)  # one spectrum of the red Gram serves every cell
             for p in grid:
@@ -343,13 +346,7 @@ def run_tripartite(config):
         (MEASURE_TRIPARTITE_SHIFT, config.shift_grid, _shifted_blue),
         (MEASURE_TRIPARTITE_SCALE, config.scale_grid, _scaled_blue),
     )
-    for r in range(config.replicates):
-        X = sample_gaussian(
-            _child_seed(config.seed, r, 0), n, d, scale=config.sample_scale
-        )
-        base = np.random.default_rng(_child_seed(config.seed, r, 1)).standard_normal(
-            (m, d)
-        )
+    for r, X, base in _draws(config, n, m, d):
         K1 = gram_univariate(spec, X)
         # K1 depends only on the replicate: one spectrum serves every cell
         e1 = sym_eig(K1, vectors=False)
@@ -388,8 +385,8 @@ def emit_results(table, path, out_format="csv"):
     Floats carry 17 significant digits so a round-trip through load/parse
     reproduces them bit-exactly. path of None writes to stdout.
     """
-    if out_format not in ("csv", "json"):
-        raise ArgumentError(f"format must be csv or json, got {out_format!r}")
+    if out_format not in OUTPUT_FORMATS:
+        raise ArgumentError(f"format must be one of {OUTPUT_FORMATS}, got {out_format!r}")
     buf = io.StringIO()
     if out_format == "csv":
         buf.write(",".join(RESULT_COLUMNS) + "\n")

@@ -5,6 +5,7 @@ forms (everything commutes, so traces reduce to sums over eigenvalue pairs).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -188,33 +189,54 @@ def test_nonmirrored_reports_a_collapsed_trace():
     assert exc.value.clamp_count == 3
 
 
-# At order 2000 every power sum of a 16-point gaussian Gram underflows to 0,
-# and a self pair's K^(1-a) overflows; each is checked under the suite's
-# RuntimeWarning filter, so a leaked numpy warning fails it.
-LARGE_ORDER_CALLS = {
-    "tripartite": lambda X, Y, a: tripartite_cross_entropy(
-        gram_univariate(GAUSS, X), gram_cross(GAUSS, X, Y), gram_univariate(GAUSS, Y), a
-    ).value,
-    "entropy": lambda X, Y, a: matrix_renyi_entropy(unit(X), a),
-    "mutual-information": lambda X, Y, a: mutual_information(unit(X), unit(Y), a),
-    "nonmirrored-self-pair": lambda X, Y, a: nonmirrored_cross_entropy(unit(X), unit(X), a).value,
-}
-
-
 def unit(X):
     return normalize_trace(gram_univariate(GAUSS, X))
 
 
+def _distinct(measure, *beta):
+    """``measure`` of the two draws' unit-trace Grams, a distinct pair whose
+    supports are included, so only its trace can fail."""
+    return lambda X, Y, a: measure(unit(X), unit(Y), a, *beta).value
+
+
+# measure: (order, call). At order 2000 every power sum of a 16-point gaussian
+# Gram underflows to 0, and a self pair's K^(1-a) overflows; a distinct pair's
+# trace overflows at orders from 300 on. Each is checked under the suite's
+# RuntimeWarning filter, so a leaked numpy warning fails it.
+LARGE_ORDER_CALLS = {
+    "tripartite": (2000.0, lambda X, Y, a: tripartite_cross_entropy(
+        gram_univariate(GAUSS, X), gram_cross(GAUSS, X, Y), gram_univariate(GAUSS, Y), a
+    ).value),
+    "entropy": (2000.0, lambda X, Y, a: matrix_renyi_entropy(unit(X), a)),
+    "mutual-information": (2000.0, lambda X, Y, a: mutual_information(unit(X), unit(Y), a)),
+    "nonmirrored-self-pair": (
+        2000.0, lambda X, Y, a: nonmirrored_cross_entropy(unit(X), unit(X), a).value
+    ),
+    "nonmirrored-300": (300.0, _distinct(nonmirrored_cross_entropy)),
+    "mirrored-300": (300.0, _distinct(mirrored_cross_entropy)),
+    "mirrored-2000": (2000.0, _distinct(mirrored_cross_entropy)),
+    "two-param-2000-10.5": (2000.0, _distinct(mirrored_cross_entropy_two_param, 10.5)),
+    "two-param-1600-16": (1600.0, _distinct(mirrored_cross_entropy_two_param, 16.0)),
+    "two-param-1600-17": (1600.0, _distinct(mirrored_cross_entropy_two_param, 17.0)),
+}
+
+
+def _large_order_draws():
+    rng = np.random.default_rng(5)
+    return tuple(SampleSet(rng.standard_normal((16, 3)) + shift) for shift in (0.0, 0.5))
+
+
 @pytest.mark.parametrize("measure", sorted(LARGE_ORDER_CALLS))
 def test_large_order_reports_a_collapsed_trace(measure):
-    """A power sum that underflows, or a trace that overflows to NaN, is the
-    same NumericalDegeneracyError as a clamped-away trace, with its value."""
-    rng = np.random.default_rng(5)
-    X, Y = (SampleSet(rng.standard_normal((16, 3)) + shift) for shift in (0.0, 0.5))
-    assert math.isfinite(LARGE_ORDER_CALLS[measure](X, Y, 4.0))
+    """A power sum that underflows, or a trace that overflows to inf or NaN, is
+    the same NumericalDegeneracyError as a clamped-away trace, with its value;
+    an overflowed trace is never the +inf of the support gate."""
+    X, Y = _large_order_draws()
+    order, call = LARGE_ORDER_CALLS[measure]
+    assert math.isfinite(call(X, Y, 4.0))
     with pytest.raises(NumericalDegeneracyError, match="trace collapsed") as exc:
-        LARGE_ORDER_CALLS[measure](X, Y, 2000.0)
-    assert not (exc.value.trace_value > 0)
+        call(X, Y, order)
+    assert not (0 < exc.value.trace_value < math.inf)
     assert exc.value.clamp_count >= 0
 
 
@@ -464,6 +486,41 @@ def test_duplicate_samples_in_k2_give_inf():
         assert res.value == math.inf
         assert (res.support.rank_1, res.support.rank_2, res.support.included) == (4, 2, False)
         assert res.support.residual == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_a_bipartite_value_is_finite_support_gated_or_an_error():
+    """At every order a bipartite call returns a finite value, returns +inf with
+    supp K1 not inside supp K2, or raises NumericalDegeneracyError; no other
+    +inf, NaN or warning. The pairs: a distinct included pair, an included
+    pair with a rank-deficient K1, and a K1 leaking out of a rank-2 K2."""
+    X, Y = _large_order_draws()
+    pairs = [
+        (unit(X), unit(Y)),
+        (
+            _unit_gram_of(_with_duplicates(20, 7, 3)),
+            _unit_gram_of(np.random.default_rng(21).standard_normal((10, 3))),
+        ),
+        (
+            _unit_gram_of(np.random.default_rng(22).standard_normal((4, 3))),
+            _unit_gram_of(_with_duplicates(23, 2, 2)),
+        ),
+    ]
+    outcomes = Counter()
+    for K1, K2 in pairs:
+        for alpha in (0.3, 0.5, 2.0, 4.0, 30.0, 300.0, 2000.0):
+            for measure in BIPARTITE:
+                try:
+                    res = measure(K1, K2, alpha)
+                except NumericalDegeneracyError:
+                    outcomes["error"] += 1
+                    continue
+                if res.value == math.inf:
+                    assert not res.support.included
+                    outcomes["gated"] += 1
+                else:
+                    assert math.isfinite(res.value)
+                    outcomes["finite"] += 1
+    assert set(outcomes) == {"error", "gated", "finite"}
 
 
 # ------------------------------------------------------------ order invariance

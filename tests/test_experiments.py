@@ -462,6 +462,15 @@ def test_cli_reports_a_collapsed_trace_not_a_math_domain_error(capsys):
     assert "math domain error" not in err
 
 
+def test_cli_reports_an_overflowed_trace_not_an_inf_row(capsys):
+    """At order 300 the mean-shift pairs' traces overflow the float range; every
+    pair's support is included, so no row may read as the support gate's +inf."""
+    assert main(["mean-shift", "--alpha", "300", "--shift", "0", "--shift", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "trace collapsed" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_seed_precedence(tmp_path, monkeypatch):
     cfg = write(tmp_path, "cfg.json", json.dumps({"seed": 3}))
     monkeypatch.setenv("GRAMXENT_SEED", "9")

@@ -20,6 +20,7 @@ from gramxent import (
     CrossGram,
     GramMatrix,
     KernelSpec,
+    NumericalDegeneracyError,
     SampleSet,
     conditional_entropy,
     gram_cross,
@@ -491,25 +492,26 @@ def test_integer_beta_trace_is_the_sandwich_power_sum(label, K1, K2, raw, a, k):
 
 
 def test_overflowing_sandwich_raises_the_same_error_on_both_paths(monkeypatch):
-    """At order 1000, K2's negative power overflows B: an integer beta
-    rejects M as sym_eig does for a non-integer one, before any power of M."""
+    """At order 1000, K2's negative power overflows B: on an integer beta as
+    on a non-integer one the overflowed M is an overflowed trace, reported
+    before any power of M is taken, and no numpy warning leaks."""
     powers = []
     monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: powers.append(args))
     _, K1, K2 = _pairs()[2]
     for beta in (1.0, 1.5, 2.0, 2.5):
-        # the overflow in building B is shared by both paths
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ArgumentError, match="^matrix has non-finite entries$"):
-                mirrored_cross_entropy_two_param(K1, K2, 1000.0, beta)
+        with pytest.raises(NumericalDegeneracyError, match="mirrored trace collapsed") as exc:
+            mirrored_cross_entropy_two_param(K1, K2, 1000.0, beta)
+        assert not math.isfinite(exc.value.trace_value)
     assert powers == []
 
 
-def test_integer_beta_trace_past_the_float_range_is_inf():
+def test_integer_beta_trace_past_the_float_range_raises():
     """At order 1600, M is finite but its powers overflow (and meet the zero
-    rows of the rank-deficient M as inf * 0); the trace reads +inf on every
-    path, with no warning but the power sum's own overflow."""
+    rows of the rank-deficient M as inf * 0); the trace is a
+    NumericalDegeneracyError on every path, not the support gate's +inf, and
+    no numpy warning leaks."""
     for _, K1, K2 in _pairs():
         for beta in (15.0, 15.5, 16.0, 17.0):
-            with np.errstate(over="ignore"):
-                res = mirrored_cross_entropy_two_param(K1, K2, 1600.0, beta)
-            assert res.value == math.inf
+            with pytest.raises(NumericalDegeneracyError, match="mirrored trace collapsed") as exc:
+                mirrored_cross_entropy_two_param(K1, K2, 1600.0, beta)
+            assert not (0 < exc.value.trace_value < math.inf)
