@@ -8,6 +8,7 @@ GRAMXENT_SEED environment variable supplies a default seed; an explicit
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -40,22 +41,6 @@ _SUITE = inspect.signature(run_property_suite)
 _PROPERTY_KEYS = {
     name: p.annotation for name, p in _SUITE.parameters.items() if p.annotation is not p.empty
 }
-
-
-def _add_experiment_flags(p):
-    p.add_argument("--kernel", choices=FAMILIES, default=None)
-    p.add_argument("--sigma", type=float, default=None, help="kernel bandwidth")
-    p.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
-    p.add_argument("--n", dest="n_grid", metavar="N", type=int, action="append")
-    p.add_argument("--d", dest="d_grid", metavar="D", type=int, action="append")
-    p.add_argument("--shift", dest="shift_grid", metavar="SHIFT", type=float, action="append")
-    p.add_argument("--scale", dest="scale_grid", metavar="SCALE", type=float, action="append")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--out", dest="output_path", metavar="OUT", help="output path (default: stdout)"
-    )
-    p.add_argument("--format", dest="out_format", choices=OUTPUT_FORMATS)
-    p.add_argument("--config", default=None, help="JSON config file; flags override")
 
 
 def _fits(value, kind):
@@ -141,9 +126,23 @@ def build_parser():
         description="Matrix-based cross-entropy experiments and self-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the experiment flags, declared once and copied into each experiment
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--kernel", choices=FAMILIES, default=None)
+    flags.add_argument("--sigma", type=float, default=None, help="kernel bandwidth")
+    flags.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
+    flags.add_argument("--n", dest="n_grid", metavar="N", type=int, action="append")
+    flags.add_argument("--d", dest="d_grid", metavar="D", type=int, action="append")
+    flags.add_argument("--shift", dest="shift_grid", metavar="SHIFT", type=float, action="append")
+    flags.add_argument("--scale", dest="scale_grid", metavar="SCALE", type=float, action="append")
+    flags.add_argument("--seed", type=int, default=None)
+    flags.add_argument(
+        "--out", dest="output_path", metavar="OUT", help="output path (default: stdout)"
+    )
+    flags.add_argument("--format", dest="out_format", choices=OUTPUT_FORMATS)
+    flags.add_argument("--config", default=None, help="JSON config file; flags override")
     for name in RUNNERS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_experiment_flags(p)
+        sub.add_parser(name, parents=[flags], help=f"run the {name} experiment")
     p = sub.add_parser("properties", help="run the invariant suite")
     p.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
     p.add_argument(
@@ -159,8 +158,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first main() call rather than at import; a
+    parse leaves it unchanged, so every later call in the process reuses it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "properties":
             return _run_properties(args)

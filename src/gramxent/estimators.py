@@ -59,6 +59,14 @@ def _order(alpha):
     return a
 
 
+def _orders(alpha_grid):
+    """Each entry of ``alpha_grid`` through ``_order``; an ArgumentError names the grid."""
+    try:
+        return tuple(_order(a) for a in alpha_grid)
+    except ArgumentError as exc:
+        raise ArgumentError(f"alpha_grid entries must be orders: {exc}") from None
+
+
 @dataclass(frozen=True)
 class CrossEntropyResult:
     """Estimator value plus diagnostics.

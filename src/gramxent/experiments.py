@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ArgumentError, ParseError
-from .estimators import _Pair, _Triple
+from .estimators import _Pair, _Triple, _orders
 from .kernels import (
     EXP_INNER_PRODUCT,
     GAUSSIAN,
@@ -81,6 +81,7 @@ class ExperimentConfig:
         for f in fields(self):
             if typing.get_origin(f.type) is tuple and len(getattr(self, f.name)) == 0:
                 raise ArgumentError(f"{f.name} must be non-empty")
+        _orders(self.alpha_grid)
         for name in ("n_grid", "d_grid"):
             if min(getattr(self, name)) < 1:
                 raise ArgumentError(f"{name} entries must be >= 1, got {getattr(self, name)}")

@@ -152,16 +152,23 @@ def _kernel_block(spec, A, B):
             if max(float(np.max(np.abs(A))), float(np.max(np.abs(B)))) > 1e150:
                 D = np.array([np.sum((B - a) ** 2, axis=1) for a in A])
             else:
-                # d * (1e150)^2 stays far below the float maximum
-                D = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+                # d * (1e150)^2 stays far below the float maximum. Two n x m
+                # buffers, worked in place; the order (|a|^2 + |b|^2) - 2<a, b>
+                # fixes every bit, and the result files' bytes rest on it
+                AB = A @ B.T
+                AB *= 2.0
+                D = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+                D -= AB
                 np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
-            return np.exp(-spec.bandwidth * D)
-        E = spec.bandwidth * (A @ B.T)
+            D *= -spec.bandwidth
+            return np.exp(D, out=D)
+        E = A @ B.T
+        E *= spec.bandwidth
     if not np.max(E) <= OVERFLOW_LIMIT:  # np.max is NaN if any entry is
         E = np.where(np.isnan(E), np.inf, E)
         i, j = np.unravel_index(int(np.argmax(E)), E.shape)
         raise KernelOverflowError(i, j, E[i, j])
-    return np.exp(E)
+    return np.exp(E, out=E)
 
 
 def gram_univariate(spec, X):

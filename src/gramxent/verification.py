@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .estimators import _Pair, _Triple
+from .estimators import _Pair, _Triple, _orders
 from .experiments import _child_seed
 from .kernels import (
     UNIT_TRACE,
@@ -179,7 +179,7 @@ def run_property_suite(
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     if min(sizes) < 2:
         raise ArgumentError(f"matrix sizes must be >= 2, got {min(sizes)}")
-    alphas = sorted(float(a) for a in alpha_grid)
+    alphas = sorted(_orders(alpha_grid))
     spec = KernelSpec()
 
     tally = {name: [] for name in _TOLERANCES}  # the violations seen, per property

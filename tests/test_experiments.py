@@ -5,6 +5,8 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -32,7 +34,7 @@ from gramxent import (
     sample_gaussian,
     tripartite_cross_entropy,
 )
-from gramxent.cli import _PROPERTY_KEYS, main
+from gramxent.cli import _PROPERTY_KEYS, build_parser, main
 from gramxent.experiments import RESULT_COLUMNS, RUNNERS, _child_seed, _scaled_blue, _shifted_blue
 
 
@@ -410,6 +412,51 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+# The eleven experiment flags, each once, and the arguments they parse to.
+EXPERIMENT_ARGV = [
+    "--kernel", "gaussian", "--sigma", "2", "--alpha", "2", "--n", "8", "--d", "2",
+    "--shift", "0.5", "--scale", "1.5", "--seed", "3", "--out", "rows.csv",
+    "--format", "json", "--config", "cfg.json",
+]
+EXPERIMENT_ARGS = {
+    "kernel": "gaussian", "sigma": 2.0, "alpha_grid": [2.0], "n_grid": [8], "d_grid": [2],
+    "shift_grid": [0.5], "scale_grid": [1.5], "seed": 3, "output_path": "rows.csv",
+    "out_format": "json", "config": "cfg.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_cli_experiment_flags(command):
+    """Every experiment takes the same eleven flags and no other."""
+    args = build_parser().parse_args([command, *EXPERIMENT_ARGV])
+    assert vars(args) == {"command": command, **EXPERIMENT_ARGS}
+
+
+def test_cli_calls_in_one_process_are_independent(tmp_path):
+    """main() parses with one parser per process; repeatable flags, an argparse
+    error and another subcommand in between leave no trace in a later call."""
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main([*FAST_SHIFT, "--out", str(first)]) == 0
+    alone = str(tmp_path / "alone.csv")
+    assert main([*FAST_SHIFT[:-4], "--shift", "2", "--out", alone]) == 0
+    assert {r.parameter for r in parse_results_csv(alone)} == {2.0}
+    with pytest.raises(SystemExit) as exc:
+        main(["mean-shift", "--n", "x"])
+    assert exc.value.code == 2
+    assert main(["properties", "--seeds", "1", "--n", "4", "--out", str(tmp_path / "p.json")]) == 0
+    assert main([*FAST_SHIFT, "--out", str(again)]) == 0
+    assert first.read_bytes() == again.read_bytes()
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built on the first main() call: a process that imports the
+    CLI and never calls it pays nothing for it."""
+    src = os.path.dirname(os.path.dirname(inspect.getfile(main)))
+    code = "import gramxent.cli as cli; raise SystemExit(cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_cli_json_format(tmp_path):
     out = str(tmp_path / "rows.json")
     assert main([*FAST_SHIFT, "--format", "json", "--out", out]) == 0
@@ -684,11 +731,25 @@ def test_unread_field_at_its_default_is_accepted():
         ("mean-shift", ["--n", "0"], {}, "n_grid"),
         ("convergence", ["--d", "0"], {}, "d_grid"),
         ("tripartite", [], {"m": 0}, "m"),
+        ("convergence", ["--alpha", "1", "--n", "512", "--d", "2"], {}, "alpha_grid"),
+        ("properties", ["--alpha", "1"], {}, "alpha_grid"),
+        ("mean-shift", ["--alpha", "2", "--alpha", "0"], {}, "alpha_grid"),
+        ("tripartite", [], {"alpha_grid": [2.0, math.inf]}, "alpha_grid"),
+        ("properties", [], {"alpha_grid": [0.5, 1.0000001]}, "alpha_grid"),
     ],
 )
-def test_cli_names_a_nonpositive_size_or_scale(command, extra, config, named, tmp_path, capsys):
-    """A size below 1 or a scale that is not positive and finite is rejected by
-    name before any draw."""
+def test_cli_names_a_nonpositive_size_or_scale(
+    command, extra, config, named, tmp_path, monkeypatch, capsys
+):
+    """A size below 1, a scale that is not positive and finite, or an order
+    that no measure takes is rejected by name before any draw or
+    decomposition."""
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("decomposed before the settings were checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_decomposition)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_decomposition)
     cfg = write(tmp_path, "cfg.json", json.dumps(config))
     assert main([command, "--config", cfg, *extra]) == 1
     err = capsys.readouterr().err

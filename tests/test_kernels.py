@@ -117,10 +117,28 @@ def test_gram_matches_double_loop_oracle(spec):
 
 
 def test_gram_is_bit_exact_symmetric():
+    """Both families' Grams are bit-symmetric, and the gaussian Grams round
+    exactly as exp(-sigma * max(|a|^2 + |b|^2 - 2<a, b>, 0)) in that order:
+    every result file's bytes rest on it, and a reordered sum would pass any
+    tolerance-based check."""
     X = rand_samples(11, 17, 3)
     for spec in (GAUSS, EIP):
         V = gram_univariate(spec, X).values
         assert np.array_equal(V, V.T)
+
+    spec = KernelSpec("gaussian", 0.7)
+
+    def plain(A, B):
+        sq_a, sq_b = np.sum(A * A, axis=1), np.sum(B * B, axis=1)
+        D = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T), 0.0)
+        return np.exp(-spec.bandwidth * D)
+
+    for d in (2, 10, 100):
+        A, B = rand_samples(d, 40, d), rand_samples(d + 1, 23, d)
+        square = plain(A.data, A.data)
+        np.fill_diagonal(square, 1.0)
+        assert np.array_equal(gram_univariate(spec, A).values, square)
+        assert np.array_equal(gram_cross(spec, A, B).values, plain(A.data, B.data))
 
 
 def test_gram_eip_overflow_names_pair():
