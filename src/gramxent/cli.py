@@ -1,9 +1,9 @@
 """Command-line front end.
 
 One subcommand per experiment plus ``properties`` for the invariant suite.
-Exit codes: 0 success, 1 any error, 2 property-suite failure. The
-GRAMXENT_SEED environment variable supplies a default seed; an explicit
---seed (or a seed in --config) wins over it.
+Exit codes: 0 success (``--help`` too), 1 any error (a usage error too), 2
+property-suite failure. The GRAMXENT_SEED environment variable supplies a
+default seed; an explicit --seed (or a seed in --config) wins over it.
 """
 
 import argparse
@@ -84,7 +84,11 @@ def _settings(args, known):
         if isinstance(values.get(key), list):
             values[key] = tuple(map(typing.get_args(known[key])[0], values[key]))
     if "seed" not in values:
-        values["seed"] = int(os.environ.get("GRAMXENT_SEED", 0))
+        seed = os.environ.get("GRAMXENT_SEED", "0")
+        try:
+            values["seed"] = int(seed)
+        except ValueError:
+            raise ArgumentError(f"GRAMXENT_SEED must be an integer, got {seed!r}") from None
     return values
 
 
@@ -166,7 +170,11 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is the suite's
+        return 1 if exc.code else 0
     try:
         if args.command == "properties":
             return _run_properties(args)

@@ -189,9 +189,12 @@ def load_csv(path):
                 path, line_no, f"expected {width} columns, found {len(cells)}"
             )
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from None
+        if not np.isfinite(row).all():
+            raise ParseError(path, line_no, "non-finite entry")
+        rows.append(row)
     return SampleSet(np.asarray(rows, dtype=float))
 
 

@@ -12,7 +12,7 @@ known offset into the scaling check and nothing else.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,9 +195,8 @@ def run_property_suite(
             base = _Pair(K1, K2, e1=e1, e2=e2)
             c_non = {a: base.nonmirrored(a).value for a in alphas}
             c_mir = {a: base.mirrored(a, a).value for a in alphas}
-            # the tripartite triple reads K1's spectrum off the raw pair
-            unscaled = _Pair(G1, G2, raw=True)
-            tri = _Triple(G1, C12, G2, unscaled.e1)
+            # G1, G2 are K1, K2 times their traces: the triple and scaling law read the base
+            tri = _Triple(G1, C12, G2, replace(e1, eigenvalues=G1.trace() * e1.eigenvalues))
             c_tri = {a: tri.result(a).value for a in alphas}
             tally["cip-non-negativity"].append(max(0.0, -tri.cip))
 
@@ -220,9 +219,9 @@ def run_property_suite(
             S1 = _scaled(G1, rho1)
             scaled = _Pair(S1, _scaled(G2, rho2), raw=True)
             tri_scaled = _Triple(S1, CrossGram(rho1 * C12.values), _scaled(G2, rho1), scaled.e1)
-            expected = math.log(rho1 / rho2)
+            expected = math.log(rho1 * G1.trace() / (rho2 * G2.trace()))
             for a in alphas:
-                for whole, part in zip(_measures(scaled, a), _measures(unscaled, a)):
+                for whole, part in zip(_measures(scaled, a), (c_non[a], c_mir[a])):
                     tally["scaling-law"].append(abs(whole - part - expected) + tamper_offset)
                 gap = tri_scaled.result(a).value - c_tri[a] - math.log(rho1) / (a - 1.0)
                 tally["scaling-law"].append(abs(gap) + tamper_offset)

@@ -68,10 +68,12 @@ def test_load_csv_ragged_row(tmp_path):
 
 
 def test_load_csv_non_numeric_cell(tmp_path):
-    path = write(tmp_path, "d.csv", "h1,h2\n1,2\n3,oops\n")
-    with pytest.raises(ParseError) as exc:
-        load_csv(path)
-    assert exc.value.line == 3
+    """A cell that is not a finite number is a ParseError naming its path and line."""
+    for cell in ("oops", "nan", "inf", "-inf"):
+        path = write(tmp_path, "d.csv", f"h1,h2\n1,2\n3,{cell}\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert (exc.value.path, exc.value.line) == (path, 3), cell
 
 
 def test_load_csv_empty_file(tmp_path):
@@ -433,16 +435,17 @@ def test_cli_experiment_flags(command):
 
 
 def test_cli_calls_in_one_process_are_independent(tmp_path):
-    """main() parses with one parser per process; repeatable flags, an argparse
-    error and another subcommand in between leave no trace in a later call."""
+    """main() parses with one parser per process; repeatable flags, argparse
+    usage errors (exit 1, since 2 means a suite failure), --help (exit 0) and
+    another subcommand in between leave no trace in a later call."""
     first, again = tmp_path / "first.csv", tmp_path / "again.csv"
     assert main([*FAST_SHIFT, "--out", str(first)]) == 0
     alone = str(tmp_path / "alone.csv")
     assert main([*FAST_SHIFT[:-4], "--shift", "2", "--out", alone]) == 0
     assert {r.parameter for r in parse_results_csv(alone)} == {2.0}
-    with pytest.raises(SystemExit) as exc:
-        main(["mean-shift", "--n", "x"])
-    assert exc.value.code == 2
+    assert main(["mean-shift", "--n", "x"]) == 1
+    assert main(["properties", "--bogus"]) == 1
+    assert main(["properties", "--help"]) == 0
     assert main(["properties", "--seeds", "1", "--n", "4", "--out", str(tmp_path / "p.json")]) == 0
     assert main([*FAST_SHIFT, "--out", str(again)]) == 0
     assert first.read_bytes() == again.read_bytes()
@@ -688,6 +691,16 @@ def test_cli_names_a_negative_seed(command, source, tmp_path, monkeypatch, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["tripartite", "properties"])
+def test_cli_names_a_non_integer_env_seed(command, monkeypatch, capsys):
+    """GRAMXENT_SEED that is not an integer is an error naming the variable."""
+    monkeypatch.setenv("GRAMXENT_SEED", "abc")
+    assert main([command]) == 1
+    err = capsys.readouterr().err
+    assert "GRAMXENT_SEED must be an integer, got 'abc'" in err
     assert "Traceback" not in err
 
 

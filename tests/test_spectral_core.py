@@ -128,17 +128,18 @@ def test_runner_draw_decomposes_its_pair_once(monkeypatch):
 
 def test_property_suite_decomposes_each_pair_once(monkeypatch):
     """An instance decomposes K1 and K2 once for the base, self and perturbed
-    pairs, and each of its other six pairs (conjugated, raw, scaled, pinched,
+    pairs, and each of its other five pairs (conjugated, scaled, pinched,
     second draw, mixture) once per matrix; with the three Kronecker pairs of
-    the seed that makes 2 + 12 + 7 = 21 eigh. The two tripartite triples read
-    K1's spectrum off the raw and scaled pairs and add none. A mirrored value
+    the seed that makes 2 + 10 + 7 = 19 eigh. The tripartite triple reads
+    K1's spectrum off the base pair, scaled by tr(G1), and the scaled triple
+    reads it off the scaled pair; neither adds one. A mirrored value
     or sandwich adds one eigvalsh the first time its pair is asked for it at a
     non-integer (a, beta), and none at an integer beta, whose trace is read
     off matrix products."""
     counts = _count_decompositions(
         monkeypatch, lambda: run_property_suite(n_seeds=1, sizes=(4,))
     )
-    assert counts == {"eigh": 21, "eigvalsh": 47}
+    assert counts == {"eigh": 19, "eigvalsh": 43}
 
 
 def test_each_sandwich_is_decomposed_once_per_pair(monkeypatch):

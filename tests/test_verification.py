@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import gramxent.estimators
 from gramxent import (
     ArgumentError,
     GramMatrix,
@@ -139,6 +140,17 @@ def test_tamper_breaks_only_the_scaling_check():
     for name, r in by_name.items():
         if name != "scaling-law":
             assert r.passed, name
+
+
+def test_scaling_law_catches_a_wrong_raw_trace(monkeypatch):
+    """Every raw-mode log tr(K1) off by log 2 breaks the scaling law and
+    nothing else: the law compares the raw scaled pair with the unit-trace
+    base pair, so an error that does not depend on scale cannot cancel."""
+    monkeypatch.setattr(
+        gramxent.estimators, "_positive_trace", lambda G, name: 2.0 * G.trace()
+    )
+    reports = run_property_suite(n_seeds=1, sizes=(4,))
+    assert [r.name for r in reports if not r.passed] == ["scaling-law"]
 
 
 def test_unknown_tamper_mode_rejected():
