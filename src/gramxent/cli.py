@@ -2,8 +2,9 @@
 
 One subcommand per experiment plus ``properties`` for the invariant suite.
 Exit codes: 0 success (``--help`` too), 1 any error (a usage error too), 2
-property-suite failure. The GRAMXENT_SEED environment variable supplies a
-default seed; an explicit --seed (or a seed in --config) wins over it.
+a property of the suite failed (its report is still written). The
+GRAMXENT_SEED environment variable supplies a default seed; an explicit
+--seed (or a seed in --config) wins over it.
 """
 
 import argparse
@@ -20,11 +21,12 @@ from .experiments import (
     OUTPUT_FORMATS,
     RUNNERS,
     ExperimentConfig,
+    _write_text,
     default_config,
     emit_results,
 )
 from .kernels import FAMILIES, GAUSSIAN, KernelSpec
-from .verification import TAMPER_MODES, run_property_suite
+from .verification import run_property_suite
 
 # Config-file keys and their types. An experiment takes every ExperimentConfig
 # field but its name, with the kernel as a family name plus a bandwidth; flag
@@ -35,12 +37,9 @@ _EXPERIMENT_KEYS = {
     "sigma": float | None,
 }
 del _EXPERIMENT_KEYS["experiment"]
-# The property suite's keys, types and defaults are its annotated parameters;
-# tamper, unannotated, is a flag only.
+# The property suite's keys, types and defaults are its parameters.
 _SUITE = inspect.signature(run_property_suite)
-_PROPERTY_KEYS = {
-    name: p.annotation for name, p in _SUITE.parameters.items() if p.annotation is not p.empty
-}
+_PROPERTY_KEYS = {name: p.annotation for name, p in _SUITE.parameters.items()}
 
 
 def _fits(value, kind):
@@ -106,7 +105,7 @@ def _run_experiment(experiment, args):
 
 
 def _run_properties(args):
-    call = _SUITE.bind(**_settings(args, _PROPERTY_KEYS), tamper=args.tamper)
+    call = _SUITE.bind(**_settings(args, _PROPERTY_KEYS))
     call.apply_defaults()
     reports = run_property_suite(**call.arguments)
     # the report restates the resolved settings, in the suite's parameter order
@@ -115,12 +114,7 @@ def _run_properties(args):
         "passed": all(r.passed for r in reports),
         "properties": [dataclasses.asdict(r) for r in reports],
     }
-    text = json.dumps(payload, indent=1) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_text(json.dumps(payload, indent=1) + "\n", args.out)
     return 0 if payload["passed"] else 2
 
 
@@ -156,7 +150,6 @@ def build_parser():
         "--seeds", dest="n_seeds", metavar="SEEDS", type=int, help="instances per size"
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tamper", choices=TAMPER_MODES, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     return parser

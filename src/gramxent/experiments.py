@@ -404,7 +404,11 @@ def emit_results(table, path, out_format="csv"):
         ]
         json.dump(payload, buf, indent=1)
         buf.write("\n")
-    text = buf.getvalue()
+    _write_text(buf.getvalue(), path)
+
+
+def _write_text(text, path):
+    """Write text to path as is, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:

@@ -119,7 +119,8 @@ def eval_kernel(spec, s, a):
     """Evaluate the kernel on a single pair of d-vectors.
 
     Raises ArgumentError on dimension mismatch and KernelOverflowError when an
-    exponential-inner-product exponent exceeds the exp() range.
+    exponential-inner-product exponent exceeds the exp() range or is NaN. An
+    overflowed gaussian distance is the exact limit 0, as in _kernel_block.
     """
     s = np.asarray(s, dtype=float).ravel()
     a = np.asarray(a, dtype=float).ravel()
@@ -127,11 +128,12 @@ def eval_kernel(spec, s, a):
         raise ArgumentError(f"vector dimensions differ: {s.shape[0]} vs {a.shape[0]}")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a))):
         raise ArgumentError("kernel inputs contain non-finite entries")
-    if spec.family == GAUSSIAN:
-        diff = s - a
-        return float(np.exp(-spec.bandwidth * float(diff @ diff)))
-    exponent = spec.bandwidth * float(s @ a)
-    if exponent > OVERFLOW_LIMIT:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == GAUSSIAN:
+            diff = s - a
+            return float(np.exp(-spec.bandwidth * float(diff @ diff)))
+        exponent = spec.bandwidth * float(s @ a)
+    if not exponent <= OVERFLOW_LIMIT:
         raise KernelOverflowError(0, 0, exponent)
     return float(np.exp(exponent))
 

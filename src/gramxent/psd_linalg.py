@@ -81,7 +81,13 @@ class SpectralResult(NamedTuple):
 
 
 def _as_array(G):
-    return G.values if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
+    """G's values as a float array; a complex array is rejected, not cast to
+    its real part."""
+    if isinstance(G, GramMatrix):
+        return G.values
+    if np.iscomplexobj(G):
+        raise ArgumentError("expected a real matrix, got a complex array")
+    return np.asarray(G, dtype=float)
 
 
 def _check_finite(A):

@@ -5,10 +5,8 @@ hold for every well-formed input (nullity, invariance, scaling, additivity,
 order monotonicity, measure ordering, data processing under pinching,
 continuity, midpoint convexity of the trace functionals) on randomly
 generated Gram pairs. Violations are reported, not raised, so a failing
-property shows up as a report entry with ``passed=False``.
-
-The ``tamper`` argument exists to prove the suite can fail: it injects a
-known offset into the scaling check and nothing else.
+property shows up as a report entry with ``passed=False``: a raw trace off
+by a constant factor, for one, fails the scaling law and nothing else.
 """
 
 import math
@@ -31,8 +29,6 @@ from .kernels import (
     normalize_trace,
 )
 from .psd_linalg import sym_eig
-
-TAMPER_MODES = ("scaling",)
 
 # Every property the suite checks and its tolerance, in report order.
 _TOLERANCES = {
@@ -162,17 +158,12 @@ def run_property_suite(
     sizes: tuple[int, ...] = (4, 16, 64),
     alpha_grid: tuple[float, ...] = (0.3, 0.5, 0.7, 1.5, 2.0, 4.0),
     n_seeds: int = 20,
-    tamper=None,
 ):
     """Run every property family on random instances; return a report list.
 
     Each entry carries the property name, how many assertions were checked,
-    the worst violation seen, the tolerance, and the pass flag. tamper may be
-    "scaling" to deliberately break the scaling check (for testing that the
-    suite detects violations).
+    the worst violation seen, the tolerance, and the pass flag.
     """
-    if tamper is not None and tamper not in TAMPER_MODES:
-        raise ArgumentError(f"unknown tamper mode {tamper!r}; known: {TAMPER_MODES}")
     if n_seeds < 1 or not sizes or not alpha_grid:
         raise ArgumentError("the suite needs n_seeds >= 1 and non-empty sizes and orders")
     if seed < 0:
@@ -184,7 +175,6 @@ def run_property_suite(
 
     tally = {name: [] for name in _TOLERANCES}  # the violations seen, per property
 
-    tamper_offset = 1e-3 if tamper == "scaling" else 0.0
     rho1, rho2 = 1.7, 0.4
 
     for k in range(n_seeds):
@@ -222,9 +212,9 @@ def run_property_suite(
             expected = math.log(rho1 * G1.trace() / (rho2 * G2.trace()))
             for a in alphas:
                 for whole, part in zip(_measures(scaled, a), (c_non[a], c_mir[a])):
-                    tally["scaling-law"].append(abs(whole - part - expected) + tamper_offset)
+                    tally["scaling-law"].append(abs(whole - part - expected))
                 gap = tri_scaled.result(a).value - c_tri[a] - math.log(rho1) / (a - 1.0)
-                tally["scaling-law"].append(abs(gap) + tamper_offset)
+                tally["scaling-law"].append(abs(gap))
 
             for lo, hi in zip(alphas, alphas[1:]):
                 tally["order-monotonicity"].append(max(0.0, c_non[lo] - c_non[hi]))

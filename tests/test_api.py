@@ -1,7 +1,10 @@
 """The public surface: the export list and the order in which arguments are checked."""
 
 import inspect
+import re
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,20 @@ def test_all_is_sorted_and_is_every_public_non_module_global():
     ]
     assert gramxent.__all__ == sorted(public)
     assert "estimators" not in gramxent.__all__
+
+
+def test_readme_python_examples_run():
+    """The README's python blocks run in order in one namespace, with no
+    RuntimeWarning."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for block in blocks:
+            exec(block, namespace)
+    assert np.isfinite(namespace["res"].value)
 
 
 def test_star_import_binds_the_api_and_no_module():

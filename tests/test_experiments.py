@@ -13,6 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import gramxent.estimators
 from gramxent import (
     ArgumentError,
     ExperimentConfig,
@@ -445,6 +446,7 @@ def test_cli_calls_in_one_process_are_independent(tmp_path):
     assert {r.parameter for r in parse_results_csv(alone)} == {2.0}
     assert main(["mean-shift", "--n", "x"]) == 1
     assert main(["properties", "--bogus"]) == 1
+    assert main(["properties", "--tamper", "scaling"]) == 1
     assert main(["properties", "--help"]) == 0
     assert main(["properties", "--seeds", "1", "--n", "4", "--out", str(tmp_path / "p.json")]) == 0
     assert main([*FAST_SHIFT, "--out", str(again)]) == 0
@@ -473,8 +475,13 @@ def test_cli_properties_pass(tmp_path):
     assert len(payload["properties"]) == 11
 
 
-def test_cli_properties_tamper_exits_2(tmp_path):
-    code, payload = run_properties_cli(tmp_path, "--tamper", "scaling")
+def test_cli_properties_exits_2_on_a_wrong_raw_trace(tmp_path, monkeypatch):
+    """A real fault, every raw log tr(K1) off by log 2, fails the scaling law
+    alone; the report is still written and the exit code is 2."""
+    monkeypatch.setattr(
+        gramxent.estimators, "_positive_trace", lambda G, name: 2.0 * G.trace()
+    )
+    code, payload = run_properties_cli(tmp_path)
     assert code == 2
     assert payload["passed"] is False
     failed = [p["name"] for p in payload["properties"] if not p["passed"]]
@@ -500,7 +507,7 @@ def test_cli_properties_report_restates_settings_as_typed(tmp_path, monkeypatch,
     text = capsys.readouterr().out
     assert '"alpha_grid": [\n  0.5,\n  2.0\n ]' in text
     payload = json.loads(text)
-    assert [payload[k] for k in ("seed", "sizes", "n_seeds", "tamper")] == [0, [4], 1, None]
+    assert [payload[k] for k in ("seed", "sizes", "n_seeds")] == [0, [4], 1]
 
 
 def test_cli_reports_a_collapsed_trace_not_a_math_domain_error(capsys):
@@ -834,9 +841,9 @@ PROPERTY_KEY_CASES = {
 }
 
 
-def test_property_keys_are_the_suite_parameters_but_tamper():
+def test_property_keys_are_the_suite_parameters():
     params = set(inspect.signature(run_property_suite).parameters)
-    assert set(_PROPERTY_KEYS) == params - {"tamper"}
+    assert set(_PROPERTY_KEYS) == params
     assert set(PROPERTY_KEY_CASES) == set(_PROPERTY_KEYS)
 
 
@@ -852,7 +859,6 @@ def test_property_key_lands_on_its_parameter_and_flag_wins(key, tmp_path, monkey
     write(tmp_path, "cfg.json", json.dumps({key: file_value}))
     assert main(["properties", "--config", "cfg.json", "--out", "out.json"]) == 0
     assert seen[-1][key] == from_file
-    assert seen[-1]["tamper"] is None
     assert main(["properties", "--config", "cfg.json", "--out", "out.json", *flag]) == 0
     assert seen[-1][key] == from_flag
 
@@ -868,7 +874,7 @@ def test_property_config_leaves_unset_keys_at_the_suite_defaults(tmp_path, monke
     assert seen == [{name: p.default for name, p in params.items()}]
 
 
-def test_cli_properties_tamper_is_not_a_config_key(tmp_path, capsys):
-    cfg = write(tmp_path, "cfg.json", json.dumps({"tamper": "scaling"}))
+def test_cli_properties_rejects_an_unknown_config_key(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", json.dumps({"n_seed": 1}))
     assert main(["properties", "--config", cfg]) == 1
-    assert "unknown config keys: ['tamper']" in capsys.readouterr().err
+    assert "unknown config keys: ['n_seed']" in capsys.readouterr().err

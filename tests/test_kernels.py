@@ -320,15 +320,21 @@ def test_huge_bandwidth_is_the_exact_limit():
 def test_huge_samples_are_the_exact_limit():
     """Samples whose squares overflow: the distances overflow to inf, so the
     gaussian is exactly 0 between far points, with no inf - inf warning, and
-    a small pair among them keeps its exact value."""
+    a small pair among them keeps its exact value. eval_kernel agrees, with no
+    overflow warning either."""
     X = SampleSet(np.array([[1e200, -1e200], [1.0, 2.0], [1.7e308, 0.0]]))
     Y = SampleSet(np.array([[1e200, 1e200], [1.0, 1.0]]))
     npt.assert_array_equal(gram_univariate(GAUSS, X).values, np.eye(3))
     npt.assert_array_equal(
         gram_cross(GAUSS, X, Y).values, [[0.0, 0.0], [0.0, EXP_MINUS_ONE], [0.0, 0.0]]
     )
+    assert eval_kernel(GAUSS, X.data[0], Y.data[0]) == 0.0
+    assert eval_kernel(GAUSS, X.data[1], Y.data[1]) == EXP_MINUS_ONE
+    assert eval_kernel(GAUSS, [1e200], [0.0]) == 0.0
     with pytest.raises(KernelOverflowError):
         gram_univariate(EIP, X)
+    with pytest.raises(KernelOverflowError):
+        eval_kernel(EIP, [1e200], [1e200])
 
 
 def test_mixed_sign_overflowed_inner_product_is_an_overflow():

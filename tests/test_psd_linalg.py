@@ -81,6 +81,16 @@ def test_sym_eig_rejects_a_non_square_array():
         sym_eig(np.zeros((2, 3)))
 
 
+def test_a_complex_array_is_rejected_not_cast_to_its_real_part():
+    """The real part of this Hermitian matrix is 0.5 I; its eigenvalues are 0.7
+    and 0.3."""
+    M = np.array([[0.5, 0.2j], [-0.2j, 0.5]])
+    with pytest.raises(ArgumentError, match="complex"):
+        sym_eig(M)
+    with pytest.raises(ArgumentError, match="complex"):
+        matrix_power(M, 2)
+
+
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
 def test_a_non_finite_entry_is_reported_before_the_shape(value):
     M = np.ones((2, 3))

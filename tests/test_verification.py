@@ -133,15 +133,6 @@ def test_suite_deterministic():
     assert small_suite() == small_suite()
 
 
-def test_tamper_breaks_only_the_scaling_check():
-    reports = small_suite(tamper="scaling")
-    by_name = {r.name: r for r in reports}
-    assert not by_name["scaling-law"].passed
-    for name, r in by_name.items():
-        if name != "scaling-law":
-            assert r.passed, name
-
-
 def test_scaling_law_catches_a_wrong_raw_trace(monkeypatch):
     """Every raw-mode log tr(K1) off by log 2 breaks the scaling law and
     nothing else: the law compares the raw scaled pair with the unit-trace
@@ -151,11 +142,6 @@ def test_scaling_law_catches_a_wrong_raw_trace(monkeypatch):
     )
     reports = run_property_suite(n_seeds=1, sizes=(4,))
     assert [r.name for r in reports if not r.passed] == ["scaling-law"]
-
-
-def test_unknown_tamper_mode_rejected():
-    with pytest.raises(ArgumentError):
-        small_suite(tamper="everything")
 
 
 @pytest.mark.parametrize(
