@@ -114,7 +114,7 @@ def _run_properties(args):
         "passed": all(r.passed for r in reports),
         "properties": [dataclasses.asdict(r) for r in reports],
     }
-    _write_text(json.dumps(payload, indent=1) + "\n", args.out)
+    _write_text(json.dumps(payload, indent=1) + "\n", args.output_path)
     return 0 if payload["passed"] else 2
 
 
@@ -124,34 +124,32 @@ def build_parser():
         description="Matrix-based cross-entropy experiments and self-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every subcommand takes, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument(
+        "--out", dest="output_path", metavar="OUT", help="output path (default: stdout)"
+    )
+    shared.add_argument("--config", default=None, help="JSON config file; flags override")
     # the experiment flags, declared once and copied into each experiment
-    flags = argparse.ArgumentParser(add_help=False)
+    flags = argparse.ArgumentParser(add_help=False, parents=[shared])
     flags.add_argument("--kernel", choices=FAMILIES, default=None)
     flags.add_argument("--sigma", type=float, default=None, help="kernel bandwidth")
-    flags.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
     flags.add_argument("--n", dest="n_grid", metavar="N", type=int, action="append")
     flags.add_argument("--d", dest="d_grid", metavar="D", type=int, action="append")
     flags.add_argument("--shift", dest="shift_grid", metavar="SHIFT", type=float, action="append")
     flags.add_argument("--scale", dest="scale_grid", metavar="SCALE", type=float, action="append")
-    flags.add_argument("--seed", type=int, default=None)
-    flags.add_argument(
-        "--out", dest="output_path", metavar="OUT", help="output path (default: stdout)"
-    )
     flags.add_argument("--format", dest="out_format", choices=OUTPUT_FORMATS)
-    flags.add_argument("--config", default=None, help="JSON config file; flags override")
     for name in RUNNERS:
         sub.add_parser(name, parents=[flags], help=f"run the {name} experiment")
-    p = sub.add_parser("properties", help="run the invariant suite")
-    p.add_argument("--alpha", dest="alpha_grid", metavar="ALPHA", type=float, action="append")
+    p = sub.add_parser("properties", parents=[shared], help="run the invariant suite")
     p.add_argument(
         "--n", dest="sizes", metavar="N", type=int, action="append", help="matrix sizes"
     )
     p.add_argument(
         "--seeds", dest="n_seeds", metavar="SEEDS", type=int, help="instances per size"
     )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
     return parser
 
 

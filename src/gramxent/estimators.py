@@ -182,34 +182,31 @@ class _Pair:
         Q = P if k % 2 == 0 else B @ P
         return float(np.sum(Q * Q)), 0
 
-    def _gated(self, a, measure):
-        """+inf at order ``a`` when supp K1 is not inside supp K2, else the value
-        ``measure()`` returns, its clamp count added to the pair's."""
+    def _value(self, a, measure, name=None):
+        """The result at order ``a``: +inf when supp K1 is not inside supp K2,
+        else the value ``measure()`` returns with its clamp count; either
+        carries the pair's clamp count. With a ``name``, ``measure()`` returns
+        a trace t and the value is (a-1)^-1 [log t - log tr(K1)]; under the
+        unit-trace contract log tr(K1) is 0, not computed as log(1 + eps)."""
         if not self.support.included:
-            return CrossEntropyResult(value=math.inf, alpha=a, support=self.support)
+            return CrossEntropyResult(math.inf, a, self.support, self.clamp_count)
         value, clamped = measure()
-        return CrossEntropyResult(value, a, self.support, self.clamp_count + clamped)
-
-    def _log_ratio(self, a, name, t, clamped):
-        """(a-1)^-1 [log t - log tr(K1)] for the trace t of an included pair; under
-        the unit-trace contract log tr(K1) is 0, not computed as log(1 + eps)."""
-        log_t = _log_trace(name, t, self.clamp_count + clamped)
-        log_tr1 = math.log(_positive_trace(self.K1, "K1")) if self.raw else 0.0
-        return (log_t - log_tr1) / (a - 1.0), clamped
+        clamp_count = self.clamp_count + clamped
+        if name is not None:
+            log_t = _log_trace(name, value, clamp_count)
+            log_tr1 = math.log(_positive_trace(self.K1, "K1")) if self.raw else 0.0
+            value = (log_t - log_tr1) / (a - 1.0)
+        return CrossEntropyResult(value, a, self.support, clamp_count)
 
     def nonmirrored(self, alpha):
         """The nonmirrored measure at ``alpha``; +inf when supp K1 is not inside supp K2."""
         a = _order(alpha)
-        return self._gated(
-            a, lambda: self._log_ratio(a, "nonmirrored", self.nonmirrored_trace(a), 0)
-        )
+        return self._value(a, lambda: (self.nonmirrored_trace(a), 0), "nonmirrored")
 
     def mirrored(self, alpha, beta):
         """The two-parameter mirrored measure; beta = alpha is the one-parameter one."""
         a = _order(alpha)
-        return self._gated(
-            a, lambda: self._log_ratio(a, "mirrored", *self.mirrored_trace(a, beta))
-        )
+        return self._value(a, lambda: self.mirrored_trace(a, beta), "mirrored")
 
     def umegaki(self):
         """The order-1 limit tr(K1 (log K1 - log K2)) / tr(K1)."""
@@ -223,7 +220,7 @@ class _Pair:
             cross = (self.overlap * self.overlap) @ log2
             return float(self.e1.eigenvalues @ (log1 - cross)) / tr1, 0
 
-        return self._gated(1.0, measure)
+        return self._value(1.0, measure)
 
 
 def nonmirrored_cross_entropy(K1, K2, alpha, *, raw=False):

@@ -242,9 +242,10 @@ def _bipartite_rows(experiment, family, K1, K2, parameter, d, r, alpha_grid, e1=
 def run_convergence(config):
     """Same-distribution pairs over the (d, n) grid, gaussian kernel.
 
-    X and Y are independent draws, and the bipartite rows compare their
-    trace-normalized Grams index by index. Reordering the rows of Y alone
-    changes both values, so they depend on sample order.
+    X and Y are independent draws, replicate r of cell (d_grid[di], n_grid[ni])
+    at seed paths (r, di, ni, 0) and (r, di, ni, 1). The bipartite rows
+    compare their trace-normalized Grams index by index: reordering the rows
+    of Y alone changes both values, so they depend on sample order.
     """
     if config.experiment != "convergence":
         raise ArgumentError("config.experiment must be 'convergence'")
@@ -253,15 +254,8 @@ def run_convergence(config):
     rows = []
     for di, d in enumerate(config.d_grid):
         for ni, n in enumerate(config.n_grid):
-            for r in range(config.replicates):
-                X = sample_gaussian(
-                    _child_seed(config.seed, r, di, ni, 0), n, d,
-                    scale=config.sample_scale,
-                )
-                Y = sample_gaussian(
-                    _child_seed(config.seed, r, di, ni, 1), n, d,
-                    scale=config.sample_scale,
-                )
+            for r, X, base in _draws(config, n, n, d, di, ni):
+                Y = SampleSet(config.sample_scale * base)
                 rows += _bipartite_rows(
                     "convergence", spec.family,
                     normalize_trace(gram_univariate(spec, X)),
@@ -281,11 +275,14 @@ def _one_value(config, name):
     return grid[0]
 
 
-def _draws(config, n, m, d):
-    """Per replicate: r, its n red draws (seed path (r, 0)) and m x d blue base ((r, 1))."""
+def _draws(config, n, m, d, *cell):
+    """Per replicate r: r, n red draws (seed path (r, *cell, 0)) and an m x d
+    standard-normal blue base (seed path (r, *cell, 1)); ``cell`` is the grid
+    cell's indices, empty for a runner with one cell."""
     for r in range(config.replicates):
-        red = sample_gaussian(_child_seed(config.seed, r, 0), n, d, scale=config.sample_scale)
-        base = np.random.default_rng(_child_seed(config.seed, r, 1)).standard_normal((m, d))
+        path = (config.seed, r, *cell)
+        red = sample_gaussian(_child_seed(*path, 0), n, d, scale=config.sample_scale)
+        base = np.random.default_rng(_child_seed(*path, 1)).standard_normal((m, d))
         yield r, red, base
 
 

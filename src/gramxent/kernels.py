@@ -132,7 +132,8 @@ def eval_kernel(spec, s, a):
         if spec.family == GAUSSIAN:
             diff = s - a
             return float(np.exp(-spec.bandwidth * float(diff @ diff)))
-        exponent = spec.bandwidth * float(s @ a)
+        # summed without BLAS, whose dot can sum -inf + inf to -inf, not NaN
+        exponent = spec.bandwidth * float(np.sum(s * a))
     if not exponent <= OVERFLOW_LIMIT:
         raise KernelOverflowError(0, 0, exponent)
     return float(np.exp(exponent))
@@ -143,15 +144,16 @@ def _kernel_block(spec, A, B):
 
     A bandwidth product overflowing to inf is the gaussian's exact limit
     exp(-inf) = 0 and an exponential-inner-product KernelOverflowError. So
-    is a gaussian distance overflowing to inf: samples with entries above
-    1e150 would make |a|^2 + |b|^2 - 2<a, b> inf - inf, so their squared
-    differences are summed instead, one row at a time. An inner product
-    whose overflowed terms differ in sign is NaN, and also a
-    KernelOverflowError.
+    is a gaussian distance overflowing to inf. Samples with entries above
+    1e150 are reduced one row at a time, not by BLAS: their gaussian
+    |a|^2 + |b|^2 - 2<a, b> would be inf - inf, so the squared differences
+    are summed, and a BLAS dot can sum overflowed inner-product terms of
+    both signs to -inf, where the row sum gives NaN, a KernelOverflowError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        huge = max(float(np.max(np.abs(A))), float(np.max(np.abs(B)))) > 1e150
         if spec.family == GAUSSIAN:
-            if max(float(np.max(np.abs(A))), float(np.max(np.abs(B)))) > 1e150:
+            if huge:
                 D = np.array([np.sum((B - a) ** 2, axis=1) for a in A])
             else:
                 # d * (1e150)^2 stays far below the float maximum. Two n x m
@@ -164,7 +166,7 @@ def _kernel_block(spec, A, B):
                 np.maximum(D, 0.0, out=D)  # rounding can push tiny distances negative
             D *= -spec.bandwidth
             return np.exp(D, out=D)
-        E = A @ B.T
+        E = np.array([np.sum(B * a, axis=1) for a in A]) if huge else A @ B.T
         E *= spec.bandwidth
     if not np.max(E) <= OVERFLOW_LIMIT:  # np.max is NaN if any entry is
         E = np.where(np.isnan(E), np.inf, E)

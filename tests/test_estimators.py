@@ -109,7 +109,8 @@ def test_mirrored_matches_nonmirrored_when_commuting():
     "measure", [nonmirrored_cross_entropy, mirrored_cross_entropy]
 )
 def test_support_gating_both_directions(measure, alpha):
-    """Rank-one inside full support is finite; the swap diverges at every order."""
+    """Rank-one inside full support is finite; the swap diverges at every order,
+    and its +inf still counts the eigenvalue clamped in narrow."""
     narrow = GramMatrix(np.diag([1.0, 0.0]), normalization=UNIT_TRACE)
     wide = GramMatrix(np.eye(2) / 2.0, normalization=UNIT_TRACE)
     ok = measure(narrow, wide, alpha)
@@ -117,6 +118,7 @@ def test_support_gating_both_directions(measure, alpha):
     swapped = measure(wide, narrow, alpha)
     assert swapped.value == math.inf
     assert not swapped.support.included
+    assert swapped.clamp_count == 1
 
 
 def test_self_cross_entropy_is_zero_at_high_order():
@@ -283,6 +285,7 @@ def test_umegaki_diverges_without_support():
     res = mirrored_limit_umegaki(wide, narrow)
     assert res.value == math.inf
     assert not res.support.included
+    assert res.clamp_count == 1
 
 
 @pytest.mark.parametrize("K1", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "minus-identity"])

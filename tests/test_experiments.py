@@ -26,6 +26,9 @@ from gramxent import (
     gram_cross,
     gram_univariate,
     load_csv,
+    mirrored_cross_entropy,
+    nonmirrored_cross_entropy,
+    normalize_trace,
     parse_results_csv,
     run_convergence,
     run_mean_shift,
@@ -276,6 +279,36 @@ def test_tripartite_runner_matches_public_estimator():
         assert row.value == expected[(row.alpha, row.parameter, row.measure, row.seed)]
 
 
+def test_convergence_runner_matches_public_estimators():
+    """Replicate r of cell (d_grid[di], n_grid[ni]) draws X and Y at seed paths
+    (r, di, ni, 0) and (r, di, ni, 1); each row equals the public estimator on
+    the normalized Grams of those draws, bit for bit."""
+    cfg = default_config(
+        "convergence", n_grid=(5, 8), d_grid=(2, 3), alpha_grid=(0.5, 2.0), replicates=2,
+        sample_scale=0.5,
+    )
+    spec = KernelSpec("gaussian", 1.0)
+    expected = {}
+    for di, d in enumerate(cfg.d_grid):
+        for ni, n in enumerate(cfg.n_grid):
+            for r in range(cfg.replicates):
+                X, Y = (
+                    sample_gaussian(
+                        _child_seed(cfg.seed, r, di, ni, side), n, d, scale=cfg.sample_scale
+                    )
+                    for side in (0, 1)
+                )
+                K1, K2 = (normalize_trace(gram_univariate(spec, S)) for S in (X, Y))
+                for a in cfg.alpha_grid:
+                    expected[(a, "nonmirrored", n, d, r)] = nonmirrored_cross_entropy(K1, K2, a)
+                    expected[(a, "mirrored", n, d, r)] = mirrored_cross_entropy(K1, K2, a)
+    rows = run_convergence(cfg)
+    assert len(rows) == len(expected) == 32
+    for row in rows:
+        key = (row.alpha, row.measure, row.n, row.d, row.seed)
+        assert row.value == expected[key].value
+
+
 def test_tripartite_rejects_non_gaussian_kernel():
     cfg = default_config(
         "tripartite", kernel=KernelSpec("exponential-inner-product", 1.0)
@@ -433,6 +466,16 @@ def test_cli_experiment_flags(command):
     """Every experiment takes the same eleven flags and no other."""
     args = build_parser().parse_args([command, *EXPERIMENT_ARGV])
     assert vars(args) == {"command": command, **EXPERIMENT_ARGS}
+
+
+def test_cli_properties_flags():
+    """properties takes the experiments' --alpha, --seed, --out and --config."""
+    argv = ["properties", "--alpha", "2", "--seed", "3", "--out", "o", "--config", "c"]
+    args = build_parser().parse_args(argv)
+    assert vars(args) == {
+        "command": "properties", "alpha_grid": [2.0], "seed": 3, "output_path": "o",
+        "config": "c", "sizes": None, "n_seeds": None,
+    }
 
 
 def test_cli_calls_in_one_process_are_independent(tmp_path):

@@ -64,6 +64,12 @@ def test_eval_eip_orthogonal():
     assert eval_kernel(EIP, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
 
 
+@pytest.mark.parametrize("spec", [GAUSS, EIP], ids=["gaussian", "eip"])
+def test_eval_empty_vectors_give_one(spec):
+    """Two length-0 vectors have distance and inner product 0."""
+    assert eval_kernel(spec, [], []) == 1.0
+
+
 def test_eval_dimension_mismatch():
     with pytest.raises(ArgumentError):
         eval_kernel(GAUSS, np.zeros(2), np.zeros(3))
@@ -340,7 +346,8 @@ def test_huge_samples_are_the_exact_limit():
 def test_mixed_sign_overflowed_inner_product_is_an_overflow():
     """<a, b> = 2e400 summed as inf + inf + inf - inf is NaN in some BLAS
     kernels; it is reported as an overflow at its pair, not carried into the
-    Gram. A d = 10 Gram of mixed-sign huge rows raises the same way."""
+    Gram. A d = 10 Gram of mixed-sign huge rows raises the same way. So does
+    <s, a> = -inf + inf, which a BLAS dot can sum to -inf, so exp gives 0."""
     a, b = 1e200 * np.ones(4), 1e200 * np.array([1.0, 1.0, 1.0, -1.0])
     X = SampleSet(np.array([[1.0, 2.0, 3.0, 4.0], a]))
     with pytest.raises(KernelOverflowError) as exc:
@@ -350,6 +357,11 @@ def test_mixed_sign_overflowed_inner_product_is_an_overflow():
     with pytest.raises(KernelOverflowError) as exc:
         gram_univariate(EIP, SampleSet(rows))
     assert exc.value.exponent == math.inf
+    s, t = np.array([-1e200, 1e200]), np.array([1e200, 1e200])
+    with pytest.raises(KernelOverflowError):
+        gram_cross(EIP, SampleSet(s[None, :]), SampleSet(t[None, :]))
+    with pytest.raises(KernelOverflowError):
+        eval_kernel(EIP, s, t)
 
 
 # -------------------------------------------------------------------- mirror
