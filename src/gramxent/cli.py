@@ -1,10 +1,11 @@
 """Command-line front end.
 
 One subcommand per experiment plus ``properties`` for the invariant suite.
+An experiment's settings are the ExperimentConfig fields and the suite's are
+the parameters of run_property_suite: each flag or config key is copied onto
+its field or parameter as is, a flag over the config file over the default.
 Exit codes: 0 success (``--help`` too), 1 any error (a usage error too), 2
-a property of the suite failed (its report is still written). The
-GRAMXENT_SEED environment variable supplies a default seed; an explicit
---seed (or a seed in --config) wins over it.
+a property of the suite failed (its report is still written).
 """
 
 import argparse
@@ -12,11 +13,10 @@ import dataclasses
 import functools
 import inspect
 import json
-import os
 import sys
 import typing
 
-from .errors import ArgumentError, GramxentError
+from .errors import ArgumentError, GramxentError, ParseError
 from .experiments import (
     OUTPUT_FORMATS,
     RUNNERS,
@@ -25,18 +25,14 @@ from .experiments import (
     default_config,
     emit_results,
 )
-from .kernels import FAMILIES, GAUSSIAN, KernelSpec
+from .kernels import FAMILIES
 from .verification import run_property_suite
 
-# Config-file keys and their types. An experiment takes every ExperimentConfig
-# field but its name, with the kernel as a family name plus a bandwidth; flag
-# dests carry the same names.
+# Config-file keys and their types: an experiment takes every ExperimentConfig
+# field but its name; flag dests carry the same names.
 _EXPERIMENT_KEYS = {
-    **{f.name: f.type for f in dataclasses.fields(ExperimentConfig)},
-    "kernel": str | None,
-    "sigma": float | None,
+    f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"
 }
-del _EXPERIMENT_KEYS["experiment"]
 # The property suite's keys, types and defaults are its parameters.
 _SUITE = inspect.signature(run_property_suite)
 _PROPERTY_KEYS = {name: p.annotation for name, p in _SUITE.parameters.items()}
@@ -57,7 +53,10 @@ def _load_config_file(path, known):
     """The JSON object in path; every key must be in known, a mapping from
     key to type, and every value of that type."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, exc.msg) from None
     if not isinstance(data, dict):
         raise ArgumentError(f"{path}: config must be a JSON object")
     unknown = set(data) - set(known)
@@ -73,8 +72,7 @@ def _load_config_file(path, known):
 
 def _settings(args, known):
     """Flag values over config-file values for the keys in known, each grid a
-    tuple of its annotated item type; the seed falls back to GRAMXENT_SEED,
-    then 0."""
+    tuple of its annotated item type; a key set by neither is left out."""
     values = _load_config_file(args.config, known) if args.config else {}
     for key in known:
         flag = getattr(args, key, None)
@@ -82,23 +80,11 @@ def _settings(args, known):
             values[key] = flag
         if isinstance(values.get(key), list):
             values[key] = tuple(map(typing.get_args(known[key])[0], values[key]))
-    if "seed" not in values:
-        seed = os.environ.get("GRAMXENT_SEED", "0")
-        try:
-            values["seed"] = int(seed)
-        except ValueError:
-            raise ArgumentError(f"GRAMXENT_SEED must be an integer, got {seed!r}") from None
     return values
 
 
 def _run_experiment(experiment, args):
-    values = _settings(args, _EXPERIMENT_KEYS)
-    family, sigma = values.pop("kernel", None), values.pop("sigma", None)
-    if family is not None or sigma is not None:
-        values["kernel"] = KernelSpec(
-            family or GAUSSIAN, 1.0 if sigma is None else float(sigma)
-        )
-    config = default_config(experiment, **values)
+    config = default_config(experiment, **_settings(args, _EXPERIMENT_KEYS))
     rows = RUNNERS[experiment](config)
     emit_results(rows, config.output_path, config.out_format)
     return 0

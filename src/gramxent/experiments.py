@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ArgumentError, ParseError
 from .estimators import _Pair, _Triple, _orders
 from .kernels import (
-    EXP_INNER_PRODUCT,
+    FAMILIES,
     GAUSSIAN,
     KernelSpec,
     SampleSet,
@@ -53,14 +53,16 @@ OUTPUT_FORMATS = ("csv", "json")
 class ExperimentConfig:
     """Everything a runner needs; seed included, so runs are reproducible.
 
-    ``kernel`` of None means the runner's default family selection (gaussian
-    for convergence and tripartite, both families for the two sweep
-    experiments). ``replicates`` is the number of independent sample draws;
-    the output ``seed`` column carries the replicate index.
+    ``kernel`` is a family name; None means the runner's default family
+    selection (gaussian for convergence and tripartite, both families for the
+    two sweep experiments). ``sigma`` is the bandwidth of every family the run
+    uses. ``replicates`` is the number of independent sample draws; the output
+    ``seed`` column carries the replicate index. No grid repeats an entry.
     """
 
     experiment: str
-    kernel: KernelSpec | None = None
+    kernel: str | None = None
+    sigma: float = 1.0
     alpha_grid: tuple[float, ...] = (0.5, 1.5, 2.0, 4.0)
     n_grid: tuple[int, ...] = (16, 32, 64, 128, 256, 512)
     d_grid: tuple[int, ...] = (2, 10, 25, 50, 100)
@@ -78,9 +80,15 @@ class ExperimentConfig:
             raise ArgumentError(
                 f"unknown experiment {self.experiment!r}; choose from {tuple(_DEFAULTS)}"
             )
+        # the runners build their KernelSpec later; its checks run here, before any draw
+        KernelSpec(self.kernel or GAUSSIAN, self.sigma)
         for f in fields(self):
-            if typing.get_origin(f.type) is tuple and len(getattr(self, f.name)) == 0:
-                raise ArgumentError(f"{f.name} must be non-empty")
+            if typing.get_origin(f.type) is tuple:
+                grid = getattr(self, f.name)
+                if len(grid) == 0:
+                    raise ArgumentError(f"{f.name} must be non-empty")
+                if len(set(grid)) < len(grid):
+                    raise ArgumentError(f"{f.name} entries must be distinct, got {grid}")
         _orders(self.alpha_grid)
         for name in ("n_grid", "d_grid"):
             if min(getattr(self, name)) < 1:
@@ -250,7 +258,7 @@ def run_convergence(config):
     if config.experiment != "convergence":
         raise ArgumentError("config.experiment must be 'convergence'")
     _check_unread(config, "shift_grid", "scale_grid", "m")
-    spec = config.kernel or KernelSpec(GAUSSIAN, 1.0)
+    spec = KernelSpec(config.kernel or GAUSSIAN, config.sigma)
     rows = []
     for di, d in enumerate(config.d_grid):
         for ni, n in enumerate(config.n_grid):
@@ -291,8 +299,8 @@ def _sweep_rows(config, grid, blue_builder):
     n = _one_value(config, "n_grid")
     d = _one_value(config, "d_grid")
     rows = []
-    specs = (KernelSpec(GAUSSIAN, 1.0), KernelSpec(EXP_INNER_PRODUCT, 1.0))
-    for spec in (config.kernel,) if config.kernel else specs:
+    for family in (config.kernel,) if config.kernel else FAMILIES:
+        spec = KernelSpec(family, config.sigma)
         for r, red, blue_base in _draws(config, n, n, d):
             K_red = normalize_trace(gram_univariate(spec, red))
             e_red = sym_eig(K_red)  # one spectrum of the red Gram serves every cell
@@ -336,9 +344,9 @@ def run_tripartite(config):
     """Shift and scale sweeps of the tripartite measure, gaussian kernel."""
     if config.experiment != "tripartite":
         raise ArgumentError("config.experiment must be 'tripartite'")
-    spec = config.kernel or KernelSpec(GAUSSIAN, 1.0)
-    if spec.family != GAUSSIAN:
+    if config.kernel not in (None, GAUSSIAN):
         raise ArgumentError("tripartite runs use the gaussian kernel")
+    spec = KernelSpec(GAUSSIAN, config.sigma)
     n = _one_value(config, "n_grid")
     m = config.m if config.m is not None else n
     d = _one_value(config, "d_grid")

@@ -212,7 +212,7 @@ def test_mean_shift_covers_both_kernels_by_default():
 def test_mean_shift_explicit_kernel_restricts_families():
     cfg = default_config(
         "mean-shift", n_grid=(8,), d_grid=(2,), alpha_grid=(2.0,),
-        shift_grid=(0.0,), replicates=1, kernel=KernelSpec("gaussian", 2.0),
+        shift_grid=(0.0,), replicates=1, kernel="gaussian", sigma=2.0,
     )
     rows = run_mean_shift(cfg)
     assert len(rows) == 2
@@ -310,9 +310,7 @@ def test_convergence_runner_matches_public_estimators():
 
 
 def test_tripartite_rejects_non_gaussian_kernel():
-    cfg = default_config(
-        "tripartite", kernel=KernelSpec("exponential-inner-product", 1.0)
-    )
+    cfg = default_config("tripartite", kernel="exponential-inner-product")
     with pytest.raises(ArgumentError):
         run_tripartite(cfg)
 
@@ -541,9 +539,8 @@ def test_cli_properties_writes_its_report_to_stdout(tmp_path, capsys):
     assert json.loads(text) == payload
 
 
-def test_cli_properties_report_restates_settings_as_typed(tmp_path, monkeypatch, capsys):
+def test_cli_properties_report_restates_settings_as_typed(tmp_path, capsys):
     """An integer order from a config file is reported as the float the suite runs."""
-    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
     config = {"alpha_grid": [0.5, 2], "sizes": [4], "n_seeds": 1}
     cfg = write(tmp_path, "cfg.json", json.dumps(config))
     assert main(["properties", "--config", cfg]) == 0
@@ -571,18 +568,12 @@ def test_cli_reports_an_overflowed_trace_not_an_inf_row(capsys):
     assert captured.out == ""
 
 
-def test_cli_seed_precedence(tmp_path, monkeypatch):
+def test_cli_seed_precedence(tmp_path):
     cfg = write(tmp_path, "cfg.json", json.dumps({"seed": 3}))
-    monkeypatch.setenv("GRAMXENT_SEED", "9")
-
     _, payload = run_properties_cli(tmp_path, "--config", cfg, "--seed", "5")
-    assert payload["seed"] == 5  # explicit flag beats file and env
+    assert payload["seed"] == 5  # explicit flag beats file
     _, payload = run_properties_cli(tmp_path, "--config", cfg)
-    assert payload["seed"] == 3  # file beats env
-    _, payload = run_properties_cli(tmp_path)
-    assert payload["seed"] == 9  # env beats the built-in default
-
-    monkeypatch.delenv("GRAMXENT_SEED")
+    assert payload["seed"] == 3  # file beats the built-in default
     _, payload = run_properties_cli(tmp_path)
     assert payload["seed"] == 0
 
@@ -624,49 +615,88 @@ def test_cli_reports_missing_config_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# Per config-file key: the file value, the field it lands on and the value it
-# gives there, then a flag (or None when the key has none) and the value the
-# flag gives over the file.
+def test_cli_names_the_file_and_line_of_a_malformed_config(tmp_path, capsys):
+    """A config that is not JSON is a ParseError naming its path and line."""
+    cfg = write(tmp_path, "cfg.json", '{"n_grid": [8],\n "d_grid": [2,]}\n')
+    assert main(["mean-shift", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"gramxent: error: {cfg}:2: Expecting value" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["convergence", "--n", "16", "--n", "16", "--d", "2"], "n_grid"),
+        (["mean-shift", "--shift", "1", "--shift", "1"], "shift_grid"),
+        (["variance-scale", "--alpha", "2", "--alpha", "2.0"], "alpha_grid"),
+        (["tripartite", "--shift", "0", "--shift", "-0"], "shift_grid"),
+    ],
+    ids=["convergence", "mean-shift", "variance-scale", "tripartite"],
+)
+def test_cli_rejects_a_repeated_grid_entry(argv, named, capsys):
+    """A repeated entry would write two rows under one key; it is an error
+    naming the grid."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {named} entries must be distinct" in err
+    assert "Traceback" not in err
+
+
+def test_cli_sigma_applies_to_the_default_families(tmp_path):
+    """--sigma sets the bandwidth of every family the run uses; it does not
+    narrow the default family selection to the gaussian."""
+    plain, sigma = str(tmp_path / "plain.csv"), str(tmp_path / "sigma.csv")
+    assert main(["mean-shift", "--shift", "0", "--out", plain]) == 0
+    assert main(["mean-shift", "--sigma", "1", "--shift", "0", "--out", sigma]) == 0
+    assert open(plain, "rb").read() == open(sigma, "rb").read()
+    out = str(tmp_path / "scale.csv")
+    assert main(["variance-scale", "--sigma", "0.5", "--scale", "1", "--out", out]) == 0
+    assert {r.kernel for r in parse_results_csv(out)} == {
+        "gaussian", "exponential-inner-product",
+    }
+
+
+# Per config-file key, which lands on the field of its name: the file value
+# and the value it gives there, then a flag (or None when the key has none)
+# and the value the flag gives over the file.
 CONFIG_KEY_CASES = {
     "kernel": (
-        "exponential-inner-product", "kernel", KernelSpec("exponential-inner-product"),
-        ["--kernel", "gaussian"], KernelSpec("gaussian"),
+        "exponential-inner-product", "exponential-inner-product",
+        ["--kernel", "gaussian"], "gaussian",
     ),
-    "sigma": (2.0, "kernel", KernelSpec("gaussian", 2.0), ["--sigma", "3"],
-              KernelSpec("gaussian", 3.0)),
-    "alpha_grid": ([0.5, 1.5], "alpha_grid", (0.5, 1.5), ["--alpha", "2"], (2.0,)),
-    "n_grid": ([8], "n_grid", (8,), ["--n", "12"], (12,)),
-    "d_grid": ([3], "d_grid", (3,), ["--d", "4"], (4,)),
-    "shift_grid": ([1.0], "shift_grid", (1.0,), ["--shift", "2"], (2.0,)),
-    "scale_grid": ([2.0], "scale_grid", (2.0,), ["--scale", "3"], (3.0,)),
-    "seed": (3, "seed", 3, ["--seed", "5"], 5),
-    "replicates": (2, "replicates", 2, None, None),
-    "sample_scale": (0.5, "sample_scale", 0.5, None, None),
-    "m": (7, "m", 7, None, None),
-    "output_path": ("file.csv", "output_path", "file.csv", ["--out", "flag.csv"],
-                    "flag.csv"),
-    "out_format": ("json", "out_format", "json", ["--format", "csv"], "csv"),
+    "sigma": (2.0, 2.0, ["--sigma", "3"], 3.0),
+    "alpha_grid": ([0.5, 1.5], (0.5, 1.5), ["--alpha", "2"], (2.0,)),
+    "n_grid": ([8], (8,), ["--n", "12"], (12,)),
+    "d_grid": ([3], (3,), ["--d", "4"], (4,)),
+    "shift_grid": ([1.0], (1.0,), ["--shift", "2"], (2.0,)),
+    "scale_grid": ([2.0], (2.0,), ["--scale", "3"], (3.0,)),
+    "seed": (3, 3, ["--seed", "5"], 5),
+    "replicates": (2, 2, None, None),
+    "sample_scale": (0.5, 0.5, None, None),
+    "m": (7, 7, None, None),
+    "output_path": ("file.csv", "file.csv", ["--out", "flag.csv"], "flag.csv"),
+    "out_format": ("json", "json", ["--format", "csv"], "csv"),
 }
 
 
 def test_config_key_cases_cover_every_config_field():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(CONFIG_KEY_CASES) == fields - {"experiment"} | {"sigma"}
+    assert set(CONFIG_KEY_CASES) == fields - {"experiment"}
 
 
 @pytest.mark.parametrize("key", sorted(CONFIG_KEY_CASES))
 def test_config_file_key_lands_on_its_field_and_flag_wins(key, tmp_path, monkeypatch):
-    file_value, field, from_file, flag, from_flag = CONFIG_KEY_CASES[key]
+    file_value, from_file, flag, from_flag = CONFIG_KEY_CASES[key]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
     seen = []
     monkeypatch.setitem(RUNNERS, "mean-shift", lambda config: seen.append(config) or [])
     write(tmp_path, "cfg.json", json.dumps({key: file_value}))
     assert main(["mean-shift", "--config", "cfg.json"]) == 0
-    assert getattr(seen[-1], field) == from_file
+    assert getattr(seen[-1], key) == from_file
     if flag is not None:
         assert main(["mean-shift", "--config", "cfg.json", *flag]) == 0
-        assert getattr(seen[-1], field) == from_flag
+        assert getattr(seen[-1], key) == from_flag
 
 
 @pytest.mark.parametrize(
@@ -727,30 +757,17 @@ def test_result_columns_pin_the_csv_header_and_the_sort_key():
 
 
 @pytest.mark.parametrize("command", ["tripartite", "properties"])
-@pytest.mark.parametrize("source", ["flag", "config", "env"])
-def test_cli_names_a_negative_seed(command, source, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_names_a_negative_seed(command, source, tmp_path, capsys):
     """A negative seed is rejected by name before any draw is seeded."""
-    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
     argv = [command]
     if source == "flag":
         argv += ["--seed", "-1"]
-    elif source == "config":
-        argv += ["--config", write(tmp_path, "cfg.json", json.dumps({"seed": -1}))]
     else:
-        monkeypatch.setenv("GRAMXENT_SEED", "-1")
+        argv += ["--config", write(tmp_path, "cfg.json", json.dumps({"seed": -1}))]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "seed must be >= 0" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["tripartite", "properties"])
-def test_cli_names_a_non_integer_env_seed(command, monkeypatch, capsys):
-    """GRAMXENT_SEED that is not an integer is an error naming the variable."""
-    monkeypatch.setenv("GRAMXENT_SEED", "abc")
-    assert main([command]) == 1
-    err = capsys.readouterr().err
-    assert "GRAMXENT_SEED must be an integer, got 'abc'" in err
     assert "Traceback" not in err
 
 
@@ -847,9 +864,11 @@ def test_cli_names_a_nonfinite_shift_scale_or_bandwidth(
 @pytest.mark.parametrize("command", ["mean-shift", "tripartite"])
 def test_cli_huge_bandwidth_runs_at_the_exact_limit(command, tmp_path):
     """sigma * d^2 overflows to inf and exp(-inf) = 0: finite rows and no
-    numpy warning (the suite turns one into an error)."""
+    numpy warning (the suite turns one into an error). The
+    exponential-inner-product family overflows at this bandwidth instead."""
     out = str(tmp_path / "rows.csv")
-    assert main([command, "--sigma", "1e308", "--n", "8", "--out", out]) == 0
+    argv = [command, "--kernel", "gaussian", "--sigma", "1e308", "--n", "8", "--out", out]
+    assert main(argv) == 0
     rows = parse_results_csv(out)
     assert rows and all(math.isfinite(r.value) for r in rows)
 
@@ -894,7 +913,6 @@ def test_property_keys_are_the_suite_parameters():
 def test_property_key_lands_on_its_parameter_and_flag_wins(key, tmp_path, monkeypatch):
     file_value, from_file, flag, from_flag = PROPERTY_KEY_CASES[key]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
     seen = []
     monkeypatch.setattr(
         "gramxent.cli.run_property_suite", lambda **kwargs: seen.append(kwargs) or []
@@ -907,7 +925,6 @@ def test_property_key_lands_on_its_parameter_and_flag_wins(key, tmp_path, monkey
 
 
 def test_property_config_leaves_unset_keys_at_the_suite_defaults(tmp_path, monkeypatch):
-    monkeypatch.delenv("GRAMXENT_SEED", raising=False)
     seen = []
     monkeypatch.setattr(
         "gramxent.cli.run_property_suite", lambda **kwargs: seen.append(kwargs) or []
