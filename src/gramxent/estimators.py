@@ -135,19 +135,20 @@ class _Pair:
         self.K1 = K1
         self.raw = raw
         self.overlap = e1.eigenvectors.T @ e2.eigenvectors
-        # the traces below need only the two spectra and O: release the eigenvectors
+        # traces read only the support views of the spectra and O: release the eigenvectors
         self.e1, self.e2 = (replace(e, eigenvectors=None) for e in (e1, e2))
         self.support = _support_report(self.e1, self.e2, self.overlap)
+        self.lam, self.mu = self.e1.support, self.e2.support
+        self.block = self.overlap[: self.e1.rank, : self.e2.rank]
         self.clamp_count = self.e1.clamp_count + self.e2.clamp_count
         self._sandwiches = {}
 
     def nonmirrored_trace(self, a):
-        """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a), both on their supports;
+        """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a) on the supports;
         a power overflowing at a large order leaves it inf or NaN, not a warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            p1 = self.e1.on_support(lambda w: np.power(w, a))
-            p2 = self.e2.on_support(lambda w: np.power(w, 1.0 - a))
-            return float(p1 @ (self.overlap * self.overlap) @ p2)
+            p1, p2 = np.power(self.lam, a), np.power(self.mu, 1.0 - a)
+            return float(p1 @ (self.block * self.block) @ p2)
 
     def mirrored_trace(self, a, beta):
         """tr(M^beta) and M's clamp count, once per (a, beta); an overflow leaves inf or NaN."""
@@ -160,15 +161,17 @@ class _Pair:
         """tr(M^beta) for M = K2^((1-a)/2beta) K1^(a/beta) K2^((1-a)/2beta).
 
         In K2's eigenbasis M = B^T B with B = diag(lambda^(a/2beta)) O
-        diag(mu^((1-a)/2beta)), powers taken on the supports. Returns the
-        power sum and the number of M's eigenvalues clamped. At an integer
-        beta = k <= PRODUCT_ORDER_MAX no spectrum of M is taken, so none are
-        clamped: with P = M^(k//2), tr(M^k) is ||P||_F^2 for even k and
-        ||B P||_F^2 for odd k.
+        diag(mu^((1-a)/2beta)) on the supports and 0 off them: M stays n x n,
+        so its clamp threshold and count are the full sandwich's. Returns the
+        power sum and M's clamp count. At an integer beta = k <= PRODUCT_ORDER_MAX
+        no spectrum of M is taken, so none are clamped: with P = M^(k//2),
+        tr(M^k) is ||P||_F^2 for even k and ||B P||_F^2 for odd k.
         """
         outer, inner = (1.0 - a) / (2.0 * beta), a / beta
-        B = self.e1.on_support(lambda w: np.power(w, inner / 2.0))[:, None] * self.overlap
-        B *= self.e2.on_support(lambda w: np.power(w, outer))
+        B = np.zeros_like(self.overlap)
+        block = B[: self.e1.rank, : self.e2.rank]
+        np.multiply(np.power(self.lam, inner / 2.0)[:, None], self.block, out=block)
+        block *= np.power(self.mu, outer)
         M = B.T @ B
         # test M's entries, not tr(M): tr(M) can overflow where tr(M^beta) does not
         scale = max(float(M.max()), -float(M.min()))
@@ -214,11 +217,10 @@ class _Pair:
         def measure():
             # a rank-0 K1 (forced by an included rank-0 K2) has a nonpositive trace
             tr1 = _positive_trace(self.K1, "K1")
-            # tr(K1 log K1) - tr(K1 log K2) = lambda . log+ lambda - lambda . (O o O) . log+ mu
-            log1 = self.e1.on_support(np.log)
-            log2 = self.e2.on_support(np.log)
-            cross = (self.overlap * self.overlap) @ log2
-            return float(self.e1.eigenvalues @ (log1 - cross)) / tr1, 0
+            # tr(K1 log K1) - tr(K1 log K2) = lambda . (log lambda - (O o O) . log mu),
+            # on the supports: a clamped eigenvalue of K1 counts as zero
+            cross = (self.block * self.block) @ np.log(self.mu)
+            return float(self.lam @ (np.log(self.lam) - cross)) / tr1, 0
 
         return self._value(1.0, measure)
 
@@ -355,10 +357,10 @@ def mutual_information(K1, K2, alpha):
 
 
 def _min_supported_eigenvalue(values, name):
-    eig = sym_eig(values, vectors=False)
-    if eig.rank == 0:
+    support = sym_eig(values, vectors=False).support
+    if support.size == 0:
         raise DegenerateMatrixError(f"{name} has numerical rank 0")
-    return float(eig.eigenvalues[eig.rank - 1]), float(eig.eigenvalues[0])
+    return float(support[-1]), float(support[0])
 
 
 def trace_distance_bounds(K1, K2):
@@ -376,10 +378,8 @@ def trace_distance_bounds(K1, K2):
     """
     _check_gram(K1, "K1")
     _check_gram(K2, "K2")
-    if K1.values.shape != K2.values.shape:
-        raise ArgumentError(
-            f"size mismatch: {K1.values.shape} vs {K2.values.shape}"
-        )
+    if K1.n != K2.n:
+        raise ArgumentError(f"size mismatch: {K1.n} vs {K2.n}")
     l1, l1_max = _min_supported_eigenvalue(K1.values, "K1")
     l2, _ = _min_supported_eigenvalue(K2.values, "K2")
     omega = float(np.sum(np.abs(K1.values - K2.values)))

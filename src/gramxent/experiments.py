@@ -49,6 +49,14 @@ MEASURE_TRIPARTITE_SCALE = "tripartite-scale"
 OUTPUT_FORMATS = ("csv", "json")
 
 
+def _check_grid(name, grid):
+    """A grid must be non-empty with distinct entries: a repeat runs a cell twice."""
+    if len(grid) == 0:
+        raise ArgumentError(f"{name} must be non-empty")
+    if len(set(grid)) < len(grid):
+        raise ArgumentError(f"{name} entries must be distinct, got {grid}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a runner needs; seed included, so runs are reproducible.
@@ -84,11 +92,7 @@ class ExperimentConfig:
         KernelSpec(self.kernel or GAUSSIAN, self.sigma)
         for f in fields(self):
             if typing.get_origin(f.type) is tuple:
-                grid = getattr(self, f.name)
-                if len(grid) == 0:
-                    raise ArgumentError(f"{f.name} must be non-empty")
-                if len(set(grid)) < len(grid):
-                    raise ArgumentError(f"{f.name} entries must be distinct, got {grid}")
+                _check_grid(f.name, getattr(self, f.name))
         _orders(self.alpha_grid)
         for name in ("n_grid", "d_grid"):
             if min(getattr(self, name)) < 1:

@@ -11,7 +11,7 @@ all spectral functions support-restricted.
 
 The estimators decompose each Gram matrix once and work in the pair's
 eigenbases: traces, sandwiches and support tests are read off the two
-spectra and the overlap O = U1^T U2 of the eigenvectors. ``matrix_power``,
+support spectra and blocks of the overlap O = U1^T U2. ``matrix_power``,
 ``matrix_log`` and ``support_included`` are the same views in the standard
 basis and serve as the reference for those formulas.
 """
@@ -46,15 +46,14 @@ class EigenDecomposition:
         """Eigenvalues at or below the clamp threshold."""
         return self.eigenvalues.shape[0] - self.rank
 
-    def on_support(self, f):
-        """f(lambda) on the support and 0 off it, aligned with the eigenvalues."""
-        out = np.zeros(self.eigenvalues.shape, self.eigenvalues.dtype)
-        out[: self.rank] = f(self.eigenvalues[: self.rank])
-        return out
+    @property
+    def support(self):
+        """The eigenvalues above the clamp threshold: a view of the leading ``rank``."""
+        return self.eigenvalues[: self.rank]
 
     def power_sum(self, p, scale=1.0):
         """Sum of (lambda / scale)^p over the support."""
-        return float(np.sum((self.eigenvalues[: self.rank] / scale) ** p))
+        return float(np.sum((self.support / scale) ** p))
 
 
 @dataclass(frozen=True)
@@ -147,12 +146,13 @@ def clamp_threshold(eigenvalues):
     return w.shape[0] * _EPS * max(lam_max, 0.0)
 
 
-def _spectral_apply(G, f, *, needs_rank=False, op_name=""):
+def _spectral_apply(name, G, f, *args, needs_rank):
+    """V f(lambda, *args) V^T over G's support, with G's clamp count."""
     eig = sym_eig(G)
     if needs_rank and eig.rank == 0:
-        raise DegenerateMatrixError(f"{op_name}: matrix has numerical rank 0")
-    V = eig.eigenvectors
-    M = (V * eig.on_support(f)) @ V.T
+        raise DegenerateMatrixError(f"{name}: matrix has numerical rank 0")
+    V = eig.eigenvectors[:, : eig.rank]
+    M = (V * f(eig.support, *args)) @ V.T
     M = 0.5 * (M + M.T)  # kill rounding asymmetry from the two matmuls
     return SpectralResult(values=M, clamp_count=eig.clamp_count)
 
@@ -164,19 +164,14 @@ def matrix_power(G, p):
     convention). Returns (matrix, clamp_count).
     """
     p = float(p)
-    return _spectral_apply(
-        G, lambda w: np.power(w, p), needs_rank=(p < 0), op_name="matrix_power"
-    )
+    return _spectral_apply("matrix_power", G, np.power, p, needs_rank=p < 0)
 
 
 def matrix_log(G):
-    """Spectral logarithm with log(lambda) on the support and 0 off it.
-
-    The off-support value only ever multiplies matrices supported inside G's
-    support in the Umegaki trace, so it is immaterial there; 0 keeps the
-    output finite everywhere.
-    """
-    return _spectral_apply(G, np.log, needs_rank=True, op_name="matrix_log")
+    """Spectral logarithm with log(lambda) on the support and 0 off it, which
+    keeps it finite; in tr(K1 log K2) the off-support value meets only K1's
+    support, inside K2's, so it is immaterial there."""
+    return _spectral_apply("matrix_log", G, np.log, needs_rank=True)
 
 
 def _support_report(e_in, e_out, overlap):
@@ -203,12 +198,10 @@ def support_included(inner, outer):
     DEFAULT_SUPPORT_TOL.
     rank_1 is inner's rank, rank_2 is outer's.
     """
-    A = _as_array(inner)
-    B = _as_array(outer)
+    A, B = _as_array(inner), _as_array(outer)
     if A.shape != B.shape:
         raise ArgumentError(f"size mismatch: {A.shape} vs {B.shape}")
-    eig_in = sym_eig(A)
-    eig_out = sym_eig(B)
+    eig_in, eig_out = sym_eig(A), sym_eig(B)
     return _support_report(eig_in, eig_out, eig_in.eigenvectors.T @ eig_out.eigenvectors)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .estimators import _Pair, _Triple, _orders
-from .experiments import _child_seed
+from .experiments import _check_grid, _child_seed
 from .kernels import (
     UNIT_TRACE,
     CrossGram,
@@ -166,6 +166,8 @@ def run_property_suite(
     """
     if n_seeds < 1 or not sizes or not alpha_grid:
         raise ArgumentError("the suite needs n_seeds >= 1 and non-empty sizes and orders")
+    _check_grid("sizes", sizes)
+    _check_grid("alpha_grid", alpha_grid)
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     if min(sizes) < 2:

@@ -288,6 +288,19 @@ def test_umegaki_diverges_without_support():
     assert res.clamp_count == 1
 
 
+def test_umegaki_gives_no_weight_to_a_clamped_eigenvalue_of_k1():
+    """K1's -3e-16 is clamped (tau = 3 eps * 0.6 = 4.0e-16) and K2's 4e-16 kept
+    (tau = 3.3e-16): the value sums over K1's support alone, so the clamped
+    eigenvalue counts as zero, not as -3e-16 times log(4e-16)."""
+    K1 = GramMatrix(np.diag([0.6, 0.4, -3e-16]), normalization=UNIT_TRACE)
+    K2 = GramMatrix(np.diag([0.5, 0.5 - 4e-16, 4e-16]), normalization=UNIT_TRACE)
+    res = mirrored_limit_umegaki(K1, K2)
+    assert (res.support.rank_1, res.support.rank_2) == (2, 3)
+    lam, mu = np.array([0.6, 0.4]), np.array([0.5, 0.5 - 4e-16])
+    expected = float(lam @ (np.log(lam) - np.log(mu))) / K1.trace()
+    assert res.value == pytest.approx(expected, rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("K1", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "minus-identity"])
 def test_umegaki_rank_zero_raw_k1_is_degenerate(K1):
     """A rank-0 K1 has an empty support, so it is included in K2's, and a

@@ -631,12 +631,17 @@ def test_cli_names_the_file_and_line_of_a_malformed_config(tmp_path, capsys):
         (["mean-shift", "--shift", "1", "--shift", "1"], "shift_grid"),
         (["variance-scale", "--alpha", "2", "--alpha", "2.0"], "alpha_grid"),
         (["tripartite", "--shift", "0", "--shift", "-0"], "shift_grid"),
+        (["properties", "--n", "4", "--n", "4", "--seeds", "1"], "sizes"),
+        (["properties", "--n", "4", "--alpha", "2", "--alpha", "2", "--seeds", "1"], "alpha_grid"),
     ],
-    ids=["convergence", "mean-shift", "variance-scale", "tripartite"],
+    ids=[
+        "convergence", "mean-shift", "variance-scale", "tripartite",
+        "properties-n", "properties-alpha",
+    ],
 )
 def test_cli_rejects_a_repeated_grid_entry(argv, named, capsys):
-    """A repeated entry would write two rows under one key; it is an error
-    naming the grid."""
+    """A repeated entry would write two rows under one key, or count the
+    suite's checks twice; it is an error naming the grid."""
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"error: {named} entries must be distinct" in err

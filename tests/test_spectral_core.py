@@ -463,9 +463,14 @@ def test_support_reports_match_support_included(label, K1, K2):
 
 def _sandwich(pair, a, beta):
     """M = B^T B of _Pair.mirrored_trace, built here from the pair's spectra
-    and overlap, powers on the supports."""
-    B = pair.e1.on_support(lambda w: w ** (a / (2.0 * beta)))[:, None] * pair.overlap
-    B = B * pair.e2.on_support(lambda w: w ** ((1.0 - a) / (2.0 * beta)))
+    and overlap, powers on the supports and B zero off them."""
+    r1, r2 = pair.e1.rank, pair.e2.rank
+    B = np.zeros_like(pair.overlap)
+    B[:r1, :r2] = (
+        (pair.e1.support ** (a / (2.0 * beta)))[:, None]
+        * pair.overlap[:r1, :r2]
+        * pair.e2.support ** ((1.0 - a) / (2.0 * beta))
+    )
     return B.T @ B
 
 

@@ -1,5 +1,7 @@
 """Partitions, pinching, random instances, and the property suite itself."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -158,6 +160,21 @@ def test_suite_refuses_to_pass_vacuously(kwargs, named):
     either is an argument error, not a pass."""
     with pytest.raises(ArgumentError, match=named):
         run_property_suite(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(sizes=(4, 4)), "sizes entries must be distinct, got (4, 4)"),
+        (dict(alpha_grid=(2, 2.0)), "alpha_grid entries must be distinct, got (2, 2.0)"),
+    ],
+    ids=["sizes", "alpha_grid"],
+)
+def test_suite_rejects_a_repeated_grid_entry(kwargs, message):
+    """A repeated size or order would count the same checks twice and
+    overstate the report's instances; it is the experiments' error."""
+    with pytest.raises(ArgumentError, match=re.escape(message)):
+        run_property_suite(n_seeds=1, **kwargs)
 
 
 def test_suite_default_grid_runs_clean():
