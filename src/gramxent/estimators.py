@@ -135,12 +135,10 @@ class _Pair:
         self.K1 = K1
         self.raw = raw
         self.overlap = e1.eigenvectors.T @ e2.eigenvectors
-        # traces read only the support views of the spectra and O: release the eigenvectors
-        self.e1, self.e2 = (replace(e, eigenvectors=None) for e in (e1, e2))
-        self.support = _support_report(self.e1, self.e2, self.overlap)
-        self.lam, self.mu = self.e1.support, self.e2.support
-        self.block = self.overlap[: self.e1.rank, : self.e2.rank]
-        self.clamp_count = self.e1.clamp_count + self.e2.clamp_count
+        self.support = _support_report(e1, e2, self.overlap)
+        self.lam, self.mu = e1.support, e2.support
+        self.block = self.overlap[: e1.rank, : e2.rank]
+        self.clamp_count = e1.clamp_count + e2.clamp_count
         self._sandwiches = {}
 
     def nonmirrored_trace(self, a):
@@ -169,7 +167,7 @@ class _Pair:
         """
         outer, inner = (1.0 - a) / (2.0 * beta), a / beta
         B = np.zeros_like(self.overlap)
-        block = B[: self.e1.rank, : self.e2.rank]
+        block = B[: self.lam.size, : self.mu.size]
         np.multiply(np.power(self.lam, inner / 2.0)[:, None], self.block, out=block)
         block *= np.power(self.mu, outer)
         M = B.T @ B
@@ -200,6 +198,10 @@ class _Pair:
             log_tr1 = math.log(_positive_trace(self.K1, "K1")) if self.raw else 0.0
             value = (log_t - log_tr1) / (a - 1.0)
         return CrossEntropyResult(value, a, self.support, clamp_count)
+
+    def measures(self, a):
+        """The nonmirrored and the one-parameter mirrored value at order ``a``."""
+        return self.nonmirrored(a).value, self.mirrored(a, a).value
 
     def nonmirrored(self, alpha):
         """The nonmirrored measure at ``alpha``; +inf when supp K1 is not inside supp K2."""

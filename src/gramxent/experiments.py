@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, NumericalDegeneracyError, ParseError
 from .estimators import _Pair, _Triple, _orders
 from .kernels import (
     FAMILIES,
@@ -233,22 +233,30 @@ def _check_unread(config, *names):
             raise ArgumentError(f"{config.experiment} does not use {name}; leave it unset")
 
 
-def _bipartite_rows(experiment, family, K1, K2, parameter, d, r, alpha_grid, e1=None):
-    """Nonmirrored and mirrored rows of one Gram pair over every order, all read
-    off one decomposition of each matrix; ``e1`` is K1's, when the caller has it."""
-    n = K1.n
-    pair = _Pair(K1, K2, e1=e1)
-    return [
-        ResultRow(
-            experiment, family, float(a), float(parameter),
-            measure, value, n, n, d, r,
-        )
-        for a in alpha_grid
-        for measure, value in (
-            (MEASURE_NONMIRRORED, pair.nonmirrored(a).value),
-            (MEASURE_MIRRORED, pair.mirrored(a, a).value),
-        )
-    ]
+def _cell_rows(experiment, family, parameter, n, m, d, r, alpha_grid, measures):
+    """The rows of one cell at every order, ``measures(a)`` giving its (measure,
+    value) pairs at order a; a collapsed trace propagates with the cell named."""
+    rows = []
+    for a in alpha_grid:
+        try:
+            rows += [
+                ResultRow(experiment, family, float(a), float(parameter), *measured, n, m, d, r)
+                for measured in measures(a)
+            ]
+        except NumericalDegeneracyError as exc:
+            cell = f"kernel {family}, order {_fmt(a)}, parameter {_fmt(parameter)}, replicate {r}"
+            exc.args = (f"{experiment} ({cell}): {exc}",)
+            raise
+    return rows
+
+
+def _bipartite_rows(experiment, family, pair, parameter, d, r, alpha_grid):
+    """Nonmirrored and mirrored rows of one decomposed ``_Pair`` at every order; a
+    runner builds the pair in the call, so no two draws' pairs are alive at once."""
+    return _cell_rows(
+        experiment, family, parameter, pair.K1.n, pair.K1.n, d, r, alpha_grid,
+        lambda a: zip((MEASURE_NONMIRRORED, MEASURE_MIRRORED), pair.measures(a)),
+    )
 
 
 def run_convergence(config):
@@ -270,8 +278,7 @@ def run_convergence(config):
                 Y = SampleSet(config.sample_scale * base)
                 rows += _bipartite_rows(
                     "convergence", spec.family,
-                    normalize_trace(gram_univariate(spec, X)),
-                    normalize_trace(gram_univariate(spec, Y)),
+                    _Pair(*(normalize_trace(gram_univariate(spec, S)) for S in (X, Y))),
                     n, d, r, config.alpha_grid,
                 )
     return sorted(rows, key=ResultRow.key)
@@ -311,9 +318,9 @@ def _sweep_rows(config, grid, blue_builder):
             for p in grid:
                 blue = SampleSet(blue_builder(blue_base, float(p), config))
                 rows += _bipartite_rows(
-                    config.experiment, spec.family, K_red,
-                    normalize_trace(gram_univariate(spec, blue)),
-                    p, d, r, config.alpha_grid, e_red,
+                    config.experiment, spec.family,
+                    _Pair(K_red, normalize_trace(gram_univariate(spec, blue)), e1=e_red),
+                    p, d, r, config.alpha_grid,
                 )
     return sorted(rows, key=ResultRow.key)
 
@@ -367,14 +374,10 @@ def run_tripartite(config):
             for p in grid:
                 Y = SampleSet(builder(base, float(p), config))
                 triple = _Triple(K1, gram_cross(spec, X, Y), gram_univariate(spec, Y), e1)
-                for a in config.alpha_grid:
-                    value = triple.result(a).value
-                    rows.append(
-                        ResultRow(
-                            "tripartite", spec.family, float(a), float(p),
-                            measure, value, n, m, d, r,
-                        )
-                    )
+                rows += _cell_rows(
+                    "tripartite", spec.family, p, n, m, d, r, config.alpha_grid,
+                    lambda a: [(measure, triple.result(a).value)],
+                )
     return sorted(rows, key=ResultRow.key)
 
 

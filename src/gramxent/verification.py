@@ -132,11 +132,6 @@ def _mix(A, B):
     return GramMatrix(0.5 * (A.values + B.values))
 
 
-def _measures(pair, a):
-    """The nonmirrored and mirrored values of a decomposed pair at order a."""
-    return pair.nonmirrored(a).value, pair.mirrored(a, a).value
-
-
 def _draw_instance(seed, k, size_index, n, spec):
     """One random test instance: four unit-trace Grams, then the raw Grams of
     the first two sample sets and their cross Gram for the tripartite checks."""
@@ -194,7 +189,7 @@ def run_property_suite(
 
             same = _Pair(K1, K1, e1=e1)
             for a in alphas:
-                for value in _measures(same, a):
+                for value in same.measures(a):
                     tally["nullity"].append(abs(value))
                 tally["non-negativity"].append(max(0.0, -c_non[a]))
                 tally["non-negativity"].append(max(0.0, -c_mir[a]))
@@ -209,11 +204,12 @@ def run_property_suite(
                 tally["unitary-invariance"].append(abs(gap))
 
             S1 = _scaled(G1, rho1)
-            scaled = _Pair(S1, _scaled(G2, rho2), raw=True)
-            tri_scaled = _Triple(S1, CrossGram(rho1 * C12.values), _scaled(G2, rho1), scaled.e1)
+            s1 = sym_eig(S1)
+            scaled = _Pair(S1, _scaled(G2, rho2), raw=True, e1=s1)
+            tri_scaled = _Triple(S1, CrossGram(rho1 * C12.values), _scaled(G2, rho1), s1)
             expected = math.log(rho1 * G1.trace() / (rho2 * G2.trace()))
             for a in alphas:
-                for whole, part in zip(_measures(scaled, a), (c_non[a], c_mir[a])):
+                for whole, part in zip(scaled.measures(a), (c_non[a], c_mir[a])):
                     tally["scaling-law"].append(abs(whole - part - expected))
                 gap = tri_scaled.result(a).value - c_tri[a] - math.log(rho1) / (a - 1.0)
                 tally["scaling-law"].append(abs(gap))
@@ -228,7 +224,7 @@ def run_property_suite(
                     tally["order-monotonicity"].append(max(0.0, c_tri[lo] - c_tri[hi]))
 
             for a in (0.5, 2.0):
-                nm, mi = _measures(base, a)
+                nm, mi = base.measures(a)
                 tally["measure-ordering"].append(max(0.0, mi - nm))
 
             part = halves(n)
@@ -239,7 +235,7 @@ def run_property_suite(
                 if a >= 0.5:
                     tally["pinching-dpi"].append(max(0.0, pinched.mirrored(a, a).value - c_mir[a]))
 
-            if base.e1.eigenvalues[-1] > 1e-3:
+            if e1.eigenvalues[-1] > 1e-3:
                 noise_rng = np.random.default_rng(_child_seed(seed, k, si, 300))
                 S = noise_rng.standard_normal((n, n))
                 S = 0.5 * (S + S.T)
@@ -274,9 +270,7 @@ def run_property_suite(
         )
         first, second = _Pair(a1, a2), _Pair(b1, b2)
         for a in alphas:
-            for whole, p1, p2 in zip(
-                _measures(kron, a), _measures(first, a), _measures(second, a)
-            ):
+            for whole, p1, p2 in zip(kron.measures(a), first.measures(a), second.measures(a)):
                 tally["tensor-additivity"].append(abs(whole - (p1 + p2)))
 
     reports = []

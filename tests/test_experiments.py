@@ -18,6 +18,7 @@ from gramxent import (
     ArgumentError,
     ExperimentConfig,
     KernelSpec,
+    NumericalDegeneracyError,
     ParseError,
     ResultRow,
     SampleSet,
@@ -566,6 +567,45 @@ def test_cli_reports_an_overflowed_trace_not_an_inf_row(capsys):
     captured = capsys.readouterr()
     assert "trace collapsed" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,cell",
+    [
+        (
+            ["mean-shift", "--alpha", "2", "--alpha", "300", "--shift", "0"],
+            "mean-shift (kernel gaussian, order 300, parameter 0, replicate 0)",
+        ),
+        (
+            ["tripartite", "--alpha", "2000", "--n", "16", "--shift", "0.5", "--scale", "1"],
+            "tripartite (kernel gaussian, order 2000, parameter 0.5, replicate 0)",
+        ),
+    ],
+    ids=["mean-shift", "tripartite"],
+)
+def test_cli_names_the_cell_of_a_collapsed_trace(argv, cell, capsys):
+    """A collapsed trace names the experiment, kernel, order, parameter and
+    replicate it collapsed in, and still writes nothing; the error keeps its
+    trace value and clamp count, in the message once."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"gramxent: error: {cell}: " in captured.err
+    assert "trace collapsed (trace argument" in captured.err
+    assert captured.err.count("trace argument") == 1
+
+
+def test_a_runner_names_the_cell_and_keeps_the_diagnostics():
+    """The runner's error is the estimator's, with the cell in front: the same
+    trace value and clamp count, and the message's own suffix once."""
+    config = default_config("variance-scale", alpha_grid=(300.0,), scale_grid=(2.0,))
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        run_variance_scale(config)
+    assert (exc.value.trace_value, exc.value.clamp_count) == (math.inf, 0)
+    assert str(exc.value) == (
+        "variance-scale (kernel gaussian, order 300, parameter 2, replicate 0): "
+        "nonmirrored trace collapsed (trace argument inf, 0 eigenvalues clamped)"
+    )
 
 
 def test_cli_seed_precedence(tmp_path):

@@ -121,7 +121,7 @@ def test_runner_draw_decomposes_its_pair_once(monkeypatch):
     assert len(alphas) == 4
     counts = _count_decompositions(
         monkeypatch,
-        lambda: _bipartite_rows("convergence", GAUSS.family, K1, K2, 16, 4, 0, alphas),
+        lambda: _bipartite_rows("convergence", GAUSS.family, _Pair(K1, K2), 16, 4, 0, alphas),
     )
     assert counts == {"eigh": 2, "eigvalsh": 2}
 
@@ -464,12 +464,12 @@ def test_support_reports_match_support_included(label, K1, K2):
 def _sandwich(pair, a, beta):
     """M = B^T B of _Pair.mirrored_trace, built here from the pair's spectra
     and overlap, powers on the supports and B zero off them."""
-    r1, r2 = pair.e1.rank, pair.e2.rank
+    r1, r2 = pair.lam.size, pair.mu.size
     B = np.zeros_like(pair.overlap)
     B[:r1, :r2] = (
-        (pair.e1.support ** (a / (2.0 * beta)))[:, None]
+        (pair.lam ** (a / (2.0 * beta)))[:, None]
         * pair.overlap[:r1, :r2]
-        * pair.e2.support ** ((1.0 - a) / (2.0 * beta))
+        * pair.mu ** ((1.0 - a) / (2.0 * beta))
     )
     return B.T @ B
 
@@ -495,6 +495,26 @@ def test_integer_beta_trace_is_the_sandwich_power_sum(label, K1, K2, raw, a, k):
     expected = sym_eig(_sandwich(pair, a, k), vectors=False).power_sum(k)
     assert t == pytest.approx(expected, rel=1e-12)
     assert clamped == 0
+
+
+@pytest.mark.parametrize(
+    "label,K1,K2,raw", _trace_pairs(), ids=[p[0] for p in _trace_pairs()]
+)
+def test_every_decomposed_sandwich_is_bitwise_symmetric(label, K1, K2, raw, monkeypatch):
+    """The sandwich M = B^T B that a non-integer beta hands to eigvalsh equals
+    its transpose bit for bit, so no tolerance ever decides its symmetry."""
+    handed = []
+    original = np.linalg.eigvalsh
+
+    def recorded(A, *args, **kwargs):
+        handed.append(np.array_equal(A, A.T))
+        return original(A, *args, **kwargs)
+
+    pair = _Pair(K1, K2, raw)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    for a, beta in ((0.5, 0.5), (0.3, 0.75), (2.0, 2.5), (4.0, 17.0)):
+        pair.mirrored_trace(a, beta)
+    assert handed == [True] * 4
 
 
 def test_overflowing_sandwich_raises_the_same_error_on_both_paths(monkeypatch):
