@@ -23,7 +23,7 @@ exact on raw inputs.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,32 +109,28 @@ def _log_trace(name, t, clamp_count):
     return math.log(t)
 
 
-class _Pair:
-    """K1 and K2 decomposed at most once, with every bipartite measure read off them.
+def _spectrum(K, name, raw=False):
+    """K's trace contract checked, its one ``sym_eig`` and tr(K): all a ``_Pair`` reads of K."""
+    _check_trace_contract(K, name, raw)
+    return sym_eig(K), K.trace()
 
-    Construction checks the trace contract, takes each matrix's ``sym_eig``
-    from the caller (``e1``, ``e2``, left unchanged) or else decomposes it once
-    (a self pair, K2 the same object as K1, once in all) and forms the overlap
-    O = U1^T U2 and the gating support report (supp K1 inside supp K2). Every
-    order of the nonmirrored measure and the Umegaki limit then cost no
-    further decomposition; a mirrored value decomposes only its own sandwich,
-    only at a non-integer beta, and once per (a, beta): the pair keeps each
-    sandwich trace it has computed.
+
+class _Pair:
+    """Two checked spectra (``_spectrum``) with every bipartite measure read off them.
+
+    Construction forms the overlap O = U1^T U2 and the gating support report
+    (supp K1 inside supp K2) and keeps n and tr(K1), no Gram; ``_Pair(s, s)`` is
+    a self pair. The nonmirrored measure and the Umegaki limit decompose nothing;
+    a mirrored value decomposes its own sandwich at most once per (a, beta).
     """
 
-    def __init__(self, K1, K2, raw=False, e1=None, e2=None):
-        _check_trace_contract(K1, "K1", raw)
-        _check_trace_contract(K2, "K2", raw)
-        if K1.n != K2.n:
-            raise ArgumentError(f"size mismatch: {K1.n} vs {K2.n}")
-        e1 = sym_eig(K1) if e1 is None else e1
+    def __init__(self, s1, s2, raw=False):
+        (e1, self.tr1), (e2, _) = s1, s2
         # a self pair multiplies a copy of U1: numpy forms U1^T U1 as a
         # symmetric product, whose bits differ from those of two decompositions
-        if e2 is None:
-            e2 = replace(e1, eigenvectors=e1.eigenvectors.copy()) if K2 is K1 else sym_eig(K2)
-        self.K1 = K1
+        self.overlap = e1.eigenvectors.T @ (e2.eigenvectors.copy() if s2 is s1 else e2.eigenvectors)
+        self.n = self.overlap.shape[0]
         self.raw = raw
-        self.overlap = e1.eigenvectors.T @ e2.eigenvectors
         self.support = _support_report(e1, e2, self.overlap)
         self.lam, self.mu = e1.support, e2.support
         self.block = self.overlap[: e1.rank, : e2.rank]
@@ -195,7 +191,7 @@ class _Pair:
         clamp_count = self.clamp_count + clamped
         if name is not None:
             log_t = _log_trace(name, value, clamp_count)
-            log_tr1 = math.log(_positive_trace(self.K1, "K1")) if self.raw else 0.0
+            log_tr1 = math.log(_positive_trace(self.tr1, "K1")) if self.raw else 0.0
             value = (log_t - log_tr1) / (a - 1.0)
         return CrossEntropyResult(value, a, self.support, clamp_count)
 
@@ -218,7 +214,7 @@ class _Pair:
 
         def measure():
             # a rank-0 K1 (forced by an included rank-0 K2) has a nonpositive trace
-            tr1 = _positive_trace(self.K1, "K1")
+            tr1 = _positive_trace(self.tr1, "K1")
             # tr(K1 log K1) - tr(K1 log K2) = lambda . (log lambda - (O o O) . log mu),
             # on the supports: a clamped eigenvalue of K1 counts as zero
             cross = (self.block * self.block) @ np.log(self.mu)
@@ -227,16 +223,27 @@ class _Pair:
         return self._value(1.0, measure)
 
 
+def _gram_pair(K1, K2, raw=False):
+    """The pair of two Grams the caller holds: contracts and sizes are checked before
+    any decomposition (``_spectrum`` checks each again); K2 is K1 decomposes once."""
+    _check_trace_contract(K1, "K1", raw)
+    _check_trace_contract(K2, "K2", raw)
+    if K1.n != K2.n:
+        raise ArgumentError(f"size mismatch: {K1.n} vs {K2.n}")
+    s1 = _spectrum(K1, "K1", raw)
+    return _Pair(s1, s1 if K2 is K1 else _spectrum(K2, "K2", raw), raw)
+
+
 def nonmirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     """Nonmirrored cross-entropy (a-1)^-1 [log tr(K1^a K2^(1-a)) - log tr(K1)]."""
     a = _order(alpha)
-    return _Pair(K1, K2, raw).nonmirrored(a)
+    return _gram_pair(K1, K2, raw).nonmirrored(a)
 
 
 def mirrored_cross_entropy(K1, K2, alpha, *, raw=False):
     """Mirrored (sandwiched) cross-entropy via tr((K2^((1-a)/2a) K1 K2^((1-a)/2a))^a)."""
     a = _order(alpha)
-    return _Pair(K1, K2, raw).mirrored(a, a)
+    return _gram_pair(K1, K2, raw).mirrored(a, a)
 
 
 def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
@@ -251,7 +258,7 @@ def mirrored_cross_entropy_two_param(K1, K2, alpha, beta, *, raw=False):
     beta = float(beta)
     if not (beta > 0) or not math.isfinite(beta):
         raise ArgumentError(f"beta must be a positive finite real, got {beta!r}")
-    return _Pair(K1, K2, raw).mirrored(a, beta)
+    return _gram_pair(K1, K2, raw).mirrored(a, beta)
 
 
 def mirrored_limit_umegaki(K1, K2, *, raw=False):
@@ -260,7 +267,7 @@ def mirrored_limit_umegaki(K1, K2, *, raw=False):
     +inf when supp(K1) is not contained in supp(K2), the inclusion that
     ``support`` reports.
     """
-    return _Pair(K1, K2, raw).umegaki()
+    return _gram_pair(K1, K2, raw).umegaki()
 
 
 class _Triple:
@@ -303,7 +310,7 @@ class _Triple:
             sentinel = -math.inf if a > 1.0 else math.inf
             return CrossEntropyResult(sentinel, a, degenerate=DEGENERATE_ZERO_CIP)
         # the spectrum of nt(K1) is K1's divided by its trace
-        s = self.e1.power_sum(a, _positive_trace(self.K1, "K1"))
+        s = self.e1.power_sum(a, _positive_trace(self.K1.trace(), "K1"))
         entropy_term = _log_trace("tripartite", s, self.e1.clamp_count) / (a - 1.0)
         value = math.log(self.cip) / (a - 1.0) + entropy_term
         return CrossEntropyResult(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ArgumentError, NumericalDegeneracyError, ParseError
-from .estimators import _Pair, _Triple, _orders
+from .estimators import _Pair, _spectrum, _Triple, _orders
 from .kernels import (
     FAMILIES,
     GAUSSIAN,
@@ -254,9 +254,14 @@ def _bipartite_rows(experiment, family, pair, parameter, d, r, alpha_grid):
     """Nonmirrored and mirrored rows of one decomposed ``_Pair`` at every order; a
     runner builds the pair in the call, so no two draws' pairs are alive at once."""
     return _cell_rows(
-        experiment, family, parameter, pair.K1.n, pair.K1.n, d, r, alpha_grid,
+        experiment, family, parameter, pair.n, pair.n, d, r, alpha_grid,
         lambda a: zip((MEASURE_NONMIRRORED, MEASURE_MIRRORED), pair.measures(a)),
     )
+
+
+def _unit_spectrum(spec, S, name):
+    """The checked spectrum of S's trace-normalized Gram, which is released on return."""
+    return _spectrum(normalize_trace(gram_univariate(spec, S)), name)
 
 
 def run_convergence(config):
@@ -278,7 +283,7 @@ def run_convergence(config):
                 Y = SampleSet(config.sample_scale * base)
                 rows += _bipartite_rows(
                     "convergence", spec.family,
-                    _Pair(*(normalize_trace(gram_univariate(spec, S)) for S in (X, Y))),
+                    _Pair(_unit_spectrum(spec, X, "K1"), _unit_spectrum(spec, Y, "K2")),
                     n, d, r, config.alpha_grid,
                 )
     return sorted(rows, key=ResultRow.key)
@@ -313,13 +318,12 @@ def _sweep_rows(config, grid, blue_builder):
     for family in (config.kernel,) if config.kernel else FAMILIES:
         spec = KernelSpec(family, config.sigma)
         for r, red, blue_base in _draws(config, n, n, d):
-            K_red = normalize_trace(gram_univariate(spec, red))
-            e_red = sym_eig(K_red)  # one spectrum of the red Gram serves every cell
+            s_red = _unit_spectrum(spec, red, "K1")  # serves every cell of the replicate
             for p in grid:
                 blue = SampleSet(blue_builder(blue_base, float(p), config))
                 rows += _bipartite_rows(
                     config.experiment, spec.family,
-                    _Pair(K_red, normalize_trace(gram_univariate(spec, blue)), e1=e_red),
+                    _Pair(s_red, _unit_spectrum(spec, blue, "K2")),
                     p, d, r, config.alpha_grid,
                 )
     return sorted(rows, key=ResultRow.key)

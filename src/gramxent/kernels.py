@@ -96,9 +96,8 @@ def _check_gram(G, name):
         raise ArgumentError(f"{name} must be a GramMatrix")
 
 
-def _positive_trace(G, name):
-    """tr(G), a DegenerateMatrixError unless it is positive."""
-    tr = G.trace()
+def _positive_trace(tr, name):
+    """The trace ``tr`` of the Gram ``name``, a DegenerateMatrixError unless it is positive."""
     if not (tr > 0):
         raise DegenerateMatrixError(f"{name} has nonpositive trace {tr:.6g}")
     return tr
@@ -207,7 +206,7 @@ def normalize_trace(G):
     _check_gram(G, "G")
     if G.normalization == UNIT_TRACE:
         return G
-    return GramMatrix(G.values / _positive_trace(G, "G"), normalization=UNIT_TRACE)
+    return GramMatrix(G.values / _positive_trace(G.trace(), "G"), normalization=UNIT_TRACE)
 
 
 def hadamard_joint(G1, G2):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError
-from .estimators import _Pair, _Triple, _orders
+from .estimators import _gram_pair, _Pair, _spectrum, _Triple, _orders
 from .experiments import _check_grid, _child_seed
 from .kernels import (
     UNIT_TRACE,
@@ -28,7 +28,6 @@ from .kernels import (
     gram_univariate,
     normalize_trace,
 )
-from .psd_linalg import sym_eig
 
 # Every property the suite checks and its tolerance, in report order.
 _TOLERANCES = {
@@ -178,16 +177,16 @@ def run_property_suite(
         for si, n in enumerate(sizes):
             (K1, K2, K3, K4), (G1, G2), C12 = _draw_instance(seed, k, si, n, spec)
             # one spectrum per matrix, shared by the base, self and perturbed pairs
-            e1, e2 = sym_eig(K1), sym_eig(K2)
-            base = _Pair(K1, K2, e1=e1, e2=e2)
+            s1, s2 = _spectrum(K1, "K1"), _spectrum(K2, "K2")
+            base = _Pair(s1, s2)
             c_non = {a: base.nonmirrored(a).value for a in alphas}
             c_mir = {a: base.mirrored(a, a).value for a in alphas}
             # G1, G2 are K1, K2 times their traces: the triple and scaling law read the base
-            tri = _Triple(G1, C12, G2, replace(e1, eigenvalues=G1.trace() * e1.eigenvalues))
+            tri = _Triple(G1, C12, G2, replace(s1[0], eigenvalues=G1.trace() * s1[0].eigenvalues))
             c_tri = {a: tri.result(a).value for a in alphas}
             tally["cip-non-negativity"].append(max(0.0, -tri.cip))
 
-            same = _Pair(K1, K1, e1=e1)
+            same = _Pair(s1, s1)
             for a in alphas:
                 for value in same.measures(a):
                     tally["nullity"].append(abs(value))
@@ -195,7 +194,7 @@ def run_property_suite(
                 tally["non-negativity"].append(max(0.0, -c_mir[a]))
 
             Q = random_orthogonal(_child_seed(seed, k, si, 100), n)
-            conj = _Pair(_conjugate(Q, K1), _conjugate(Q, K2))
+            conj = _gram_pair(_conjugate(Q, K1), _conjugate(Q, K2))
             for a in alphas:
                 beta = max(a, 1.0 - a)
                 tally["unitary-invariance"].append(abs(conj.nonmirrored(a).value - c_non[a]))
@@ -204,9 +203,9 @@ def run_property_suite(
                 tally["unitary-invariance"].append(abs(gap))
 
             S1 = _scaled(G1, rho1)
-            s1 = sym_eig(S1)
-            scaled = _Pair(S1, _scaled(G2, rho2), raw=True, e1=s1)
-            tri_scaled = _Triple(S1, CrossGram(rho1 * C12.values), _scaled(G2, rho1), s1)
+            t1 = _spectrum(S1, "K1", raw=True)
+            scaled = _Pair(t1, _spectrum(_scaled(G2, rho2), "K2", raw=True), raw=True)
+            tri_scaled = _Triple(S1, CrossGram(rho1 * C12.values), _scaled(G2, rho1), t1[0])
             expected = math.log(rho1 * G1.trace() / (rho2 * G2.trace()))
             for a in alphas:
                 for whole, part in zip(scaled.measures(a), (c_non[a], c_mir[a])):
@@ -228,25 +227,26 @@ def run_property_suite(
                 tally["measure-ordering"].append(max(0.0, mi - nm))
 
             part = halves(n)
-            pinched = _Pair(pinch(K1, part), pinch(K2, part))
+            pinched = _gram_pair(pinch(K1, part), pinch(K2, part))
             for a in alphas:
                 if a <= 2.0:
                     tally["pinching-dpi"].append(max(0.0, pinched.nonmirrored(a).value - c_non[a]))
                 if a >= 0.5:
                     tally["pinching-dpi"].append(max(0.0, pinched.mirrored(a, a).value - c_mir[a]))
 
-            if e1.eigenvalues[-1] > 1e-3:
+            if s1[0].eigenvalues[-1] > 1e-3:
                 noise_rng = np.random.default_rng(_child_seed(seed, k, si, 300))
                 S = noise_rng.standard_normal((n, n))
                 S = 0.5 * (S + S.T)
                 noise = 1e-6 * S / np.linalg.norm(S)
-                perturbed = _Pair(normalize_trace(GramMatrix(K1.values + noise)), K2, e2=e2)
+                K1_noisy = normalize_trace(GramMatrix(K1.values + noise))
+                perturbed = _Pair(_spectrum(K1_noisy, "K1"), s2)
                 for a in alphas:
                     tally["continuity"].append(abs(perturbed.nonmirrored(a).value - c_non[a]))
                     tally["continuity"].append(abs(perturbed.mirrored(a, a).value - c_mir[a]))
 
-            other = _Pair(K3, K4)
-            mixed = _Pair(_mix(K1, K3), _mix(K2, K4), raw=True)
+            other = _gram_pair(K3, K4)
+            mixed = _gram_pair(_mix(K1, K3), _mix(K2, K4), raw=True)
             for a in alphas:
                 if a <= 2.0:
                     mid = mixed.nonmirrored_trace(a)
@@ -264,11 +264,11 @@ def run_property_suite(
         a2 = random_gram(_child_seed(seed, k, 201), 2)
         b1 = random_gram(_child_seed(seed, k, 202), 3)
         b2 = random_gram(_child_seed(seed, k, 203), 3)
-        kron = _Pair(
+        kron = _gram_pair(
             GramMatrix(np.kron(a1.values, b1.values), normalization=UNIT_TRACE),
             GramMatrix(np.kron(a2.values, b2.values), normalization=UNIT_TRACE),
         )
-        first, second = _Pair(a1, a2), _Pair(b1, b2)
+        first, second = _gram_pair(a1, a2), _gram_pair(b1, b2)
         for a in alphas:
             for whole, p1, p2 in zip(kron.measures(a), first.measures(a), second.measures(a)):
                 tally["tensor-additivity"].append(abs(whole - (p1 + p2)))

@@ -36,6 +36,7 @@ from gramxent import (
     trace_distance_bounds,
     tripartite_cross_entropy,
 )
+from test_spectral_core import _count_decompositions
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -176,19 +177,45 @@ def test_bipartite_rejects_a_plain_array_for_k1():
         nonmirrored_cross_entropy(np.eye(4) / 4, K2, 2.0)
 
 
-def test_bipartite_rejects_a_size_mismatch():
+def _rejected_undecomposed(monkeypatch, call, error, match):
+    """call() raises ``error`` matching ``match`` before any eigh or eigvalsh."""
+
+    def rejected():
+        with pytest.raises(error, match=match):
+            call()
+
+    assert _count_decompositions(monkeypatch, rejected) == {"eigh": 0, "eigvalsh": 0}
+
+
+def test_bipartite_rejects_a_size_mismatch(monkeypatch):
+    """Every bipartite estimator, before either matrix is decomposed."""
     K4 = GramMatrix(np.eye(4) / 4, normalization=UNIT_TRACE)
     K5 = GramMatrix(np.eye(5) / 5, normalization=UNIT_TRACE)
-    with pytest.raises(ArgumentError, match="size mismatch: 4 vs 5"):
-        nonmirrored_cross_entropy(K4, K5, 2.0)
+    for measure in BIPARTITE:
+        _rejected_undecomposed(
+            monkeypatch, lambda: measure(K4, K5, 2.0), ArgumentError, "size mismatch: 4 vs 5"
+        )
+
+
+def test_bipartite_rejects_a_raw_k2_under_the_unit_trace_contract(monkeypatch):
+    """A raw K2 beside a unit-trace K1 is a ContractError naming K2, raised by
+    every bipartite estimator before K1 is decomposed."""
+    K1 = GramMatrix(np.eye(4) / 4, normalization=UNIT_TRACE)
+    K2 = GramMatrix(np.eye(4) / 4)
+    for measure in BIPARTITE:
+        _rejected_undecomposed(
+            monkeypatch, lambda: measure(K1, K2, 2.0), ContractError, "^K2 must be unit-trace"
+        )
 
 
 def test_nonmirrored_reports_a_collapsed_trace():
-    """A raw K1 with no positive eigenvalue clamps to zero and leaves no trace."""
-    with pytest.raises(NumericalDegeneracyError, match="collapsed") as exc:
-        nonmirrored_cross_entropy(GramMatrix(-np.eye(3)), GramMatrix(np.eye(3)), 2.0, raw=True)
-    assert exc.value.trace_value == 0.0
-    assert exc.value.clamp_count == 3
+    """A raw K1 with no positive eigenvalue, all-zero among them, clamps to zero
+    and leaves no trace."""
+    for K1 in (-np.eye(3), np.zeros((3, 3))):
+        with pytest.raises(NumericalDegeneracyError, match="^nonmirrored trace collapsed") as exc:
+            nonmirrored_cross_entropy(GramMatrix(K1), GramMatrix(np.eye(3)), 2.0, raw=True)
+        assert exc.value.trace_value == 0.0
+        assert exc.value.clamp_count == 3
 
 
 def unit(X):
@@ -301,11 +328,13 @@ def test_umegaki_gives_no_weight_to_a_clamped_eigenvalue_of_k1():
     assert res.value == pytest.approx(expected, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("K1", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "minus-identity"])
-def test_umegaki_rank_zero_raw_k1_is_degenerate(K1):
+@pytest.mark.parametrize(
+    "K1,trace", [(np.zeros((3, 3)), "0"), (-np.eye(3), "-3")], ids=["zero", "minus-identity"]
+)
+def test_umegaki_rank_zero_raw_k1_is_degenerate(K1, trace):
     """A rank-0 K1 has an empty support, so it is included in K2's, and a
     nonpositive trace."""
-    with pytest.raises(DegenerateMatrixError):
+    with pytest.raises(DegenerateMatrixError, match=f"^K1 has nonpositive trace {trace}$"):
         mirrored_limit_umegaki(GramMatrix(K1), GramMatrix(np.eye(3)), raw=True)
 
 

@@ -521,7 +521,7 @@ def test_cli_properties_exits_2_on_a_wrong_raw_trace(tmp_path, monkeypatch):
     """A real fault, every raw log tr(K1) off by log 2, fails the scaling law
     alone; the report is still written and the exit code is 2."""
     monkeypatch.setattr(
-        gramxent.estimators, "_positive_trace", lambda G, name: 2.0 * G.trace()
+        gramxent.estimators, "_positive_trace", lambda tr, name: 2.0 * tr
     )
     code, payload = run_properties_cli(tmp_path)
     assert code == 2

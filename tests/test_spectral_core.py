@@ -9,11 +9,13 @@ sym_eig.
 
 import hashlib
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import gramxent.experiments
 from gramxent import (
     UNIT_TRACE,
     ArgumentError,
@@ -47,11 +49,16 @@ from gramxent import (
     trace_product,
     tripartite_cross_entropy,
 )
-from gramxent.estimators import PRODUCT_ORDER_MAX, _Pair
+from gramxent.estimators import PRODUCT_ORDER_MAX, _gram_pair, _Pair, _spectrum
 from gramxent.experiments import _bipartite_rows
 from gramxent.psd_linalg import sym_eig
 
 GAUSS = KernelSpec("gaussian", 1.0)
+
+
+def _pair_of(K1, K2, raw=False):
+    """The pair of K1's and K2's checked spectra."""
+    return _Pair(_spectrum(K1, "K1", raw), _spectrum(K2, "K2", raw), raw)
 
 
 def _grams(seed, n, m):
@@ -97,16 +104,26 @@ def test_each_gram_matrix_is_decomposed_once(label, monkeypatch):
     assert counts["eigh"] + counts["eigvalsh"] == expected, counts
 
 
-def _count_decompositions(monkeypatch, call):
-    counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
+def _on_decompositions(monkeypatch, record):
+    """Wrap numpy's eigh and eigvalsh so that each call first runs
+    record(name, matrix)."""
+    for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def wrapped(A, *args, _name=name, _original=original, **kwargs):
+            record(_name, A)
+            return _original(A, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+
+
+def _count_decompositions(monkeypatch, call):
+    counts = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, A):
+        counts[name] += 1
+
+    _on_decompositions(monkeypatch, counted)
     call()
     return counts
 
@@ -121,7 +138,7 @@ def test_runner_draw_decomposes_its_pair_once(monkeypatch):
     assert len(alphas) == 4
     counts = _count_decompositions(
         monkeypatch,
-        lambda: _bipartite_rows("convergence", GAUSS.family, _Pair(K1, K2), 16, 4, 0, alphas),
+        lambda: _bipartite_rows("convergence", GAUSS.family, _pair_of(K1, K2), 16, 4, 0, alphas),
     )
     assert counts == {"eigh": 2, "eigvalsh": 2}
 
@@ -148,7 +165,7 @@ def test_each_sandwich_is_decomposed_once_per_pair(monkeypatch):
     more and an integer beta none."""
     _, _, G1, G2 = _grams(0, 12, 12)
     K1, K2 = normalize_trace(G1), normalize_trace(G2)
-    pair = _Pair(K1, K2)
+    pair = _pair_of(K1, K2)
     out = []
 
     def repeated():
@@ -157,8 +174,8 @@ def test_each_sandwich_is_decomposed_once_per_pair(monkeypatch):
             out.append(pair.mirrored_trace(0.5, 0.5))
 
     assert _count_decompositions(monkeypatch, repeated) == {"eigh": 0, "eigvalsh": 1}
-    assert out[0] == out[2] == _Pair(K1, K2).mirrored(0.5, 0.5)
-    assert out[1] == out[3] == _Pair(K1, K2).mirrored_trace(0.5, 0.5)
+    assert out[0] == out[2] == _pair_of(K1, K2).mirrored(0.5, 0.5)
+    assert out[1] == out[3] == _pair_of(K1, K2).mirrored_trace(0.5, 0.5)
     for beta, eigvalsh in ((0.75, 1), (2.0, 0)):
         counts = _count_decompositions(monkeypatch, lambda: pair.mirrored(0.5, beta))
         assert counts == {"eigh": 0, "eigvalsh": eigvalsh}, beta
@@ -174,13 +191,14 @@ def _duplicate_sample_gram():
     "G", [_grams(0, 12, 12)[2], _duplicate_sample_gram()], ids=["full-rank", "duplicates"]
 )
 def test_a_self_pair_is_decomposed_once(G, monkeypatch):
-    """_Pair(K, K) takes one eigh and gives the bits of _Pair(K, copy of K)."""
+    """_gram_pair(K, K), the pair of a public estimator given K twice, takes one
+    eigh and gives the bits of the pair of K and a copy of K."""
     K = normalize_trace(G)
     pairs = []
-    counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(K, K)))
+    counts = _count_decompositions(monkeypatch, lambda: pairs.append(_gram_pair(K, K)))
     assert counts == {"eigh": 1, "eigvalsh": 0}
     same = pairs[0]
-    copy = _Pair(K, GramMatrix(K.values.copy(), normalization=K.normalization))
+    copy = _pair_of(K, GramMatrix(K.values.copy(), normalization=K.normalization))
     for a in (0.3, 0.5, 2.0, 4.0):
         assert same.nonmirrored(a) == copy.nonmirrored(a), a
         assert same.mirrored(a, a) == copy.mirrored(a, a), a
@@ -192,7 +210,7 @@ def test_integer_beta_products_stop_at_the_order_bound(k, eigvalsh, monkeypatch)
     """Up to the bound an integer beta reads tr(M^beta) off matrix products,
     clamping none of M's eigenvalues; past it M takes its eigvalsh."""
     _, _, G1, G2 = _grams(0, 12, 12)
-    pair = _Pair(normalize_trace(G1), normalize_trace(G2))
+    pair = _pair_of(normalize_trace(G1), normalize_trace(G2))
     out = []
     counts = _count_decompositions(
         monkeypatch, lambda: out.append(pair.mirrored_trace(0.5, float(k)))
@@ -242,16 +260,13 @@ def _decomposed_inputs(monkeypatch, call):
     """A digest of the dtype, shape and bytes of every matrix handed to numpy's
     eigh or eigvalsh during call()."""
     digests = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
 
-        def recorded(A, *args, _original=original, **kwargs):
-            B = np.asarray(A)
-            head = f"{B.dtype}{B.shape}".encode()
-            digests.append(hashlib.sha256(head + B.tobytes()).hexdigest())
-            return _original(A, *args, **kwargs)
+    def recorded(name, A):
+        B = np.asarray(A)
+        head = f"{B.dtype}{B.shape}".encode()
+        digests.append(hashlib.sha256(head + B.tobytes()).hexdigest())
 
-        monkeypatch.setattr(np.linalg, name, recorded)
+    _on_decompositions(monkeypatch, recorded)
     call()
     return digests
 
@@ -265,6 +280,36 @@ def test_no_matrix_is_decomposed_twice_per_run(label, monkeypatch):
     assert digests
     repeated = {d: c for d, c in Counter(digests).items() if c > 1}
     assert not repeated, f"{len(repeated)} matrices decomposed more than once"
+
+
+@pytest.mark.parametrize("label", ["convergence", "mean-shift", "variance-scale"])
+def test_one_gram_is_alive_per_decomposition(label, monkeypatch):
+    """Every bipartite runner checks, decomposes and releases one Gram before it
+    builds the next, and its pairs hold spectra, no Gram: at each eigh or
+    eigvalsh at most one GramMatrix of the decomposed size built in the run is
+    alive. (The property suite keeps K1 to K4 alive for its later pairs.)"""
+    made, live, pairs = [], [], []
+    init = GramMatrix.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    def count_live(name, A):
+        n = np.shape(A)[0]
+        live.append(sum(G is not None and G.n == n for G in (ref() for ref in made)))
+
+    monkeypatch.setattr(GramMatrix, "__init__", tracked)
+    _on_decompositions(monkeypatch, count_live)
+    built = gramxent.experiments._Pair
+    monkeypatch.setattr(
+        gramxent.experiments, "_Pair", lambda *args: pairs.append(built(*args)) or pairs[-1]
+    )
+    _RUNS[label]()
+    assert live and max(live) <= 1, Counter(live)
+    assert pairs and not any(
+        isinstance(v, GramMatrix) for pair in pairs for v in vars(pair).values()
+    )
 
 
 def _pair_measures(pair):
@@ -290,18 +335,18 @@ def _spectra_in_cases():
 
 @pytest.mark.parametrize("label", sorted(_spectra_in_cases()))
 def test_a_pair_handed_its_spectra_matches_the_matrix_pair(label, monkeypatch):
-    """_Pair given both sym_eig decompositions makes none, leaves them as they
-    were and gives every result of the pair that decomposes K1 and K2 itself."""
+    """_Pair given both checked spectra makes no decomposition, leaves them as
+    they were and gives every result of _gram_pair, which decomposes K1 and K2
+    itself as the public estimators do."""
     K1, K2, raw = _spectra_in_cases()[label]
-    e1, e2 = sym_eig(K1), sym_eig(K2)
-    before = [e.eigenvectors.tobytes() for e in (e1, e2)]
+    s1, s2 = _spectrum(K1, "K1", raw), _spectrum(K2, "K2", raw)
+    before = [s[0].eigenvectors.tobytes() for s in (s1, s2)]
     pairs = []
-    counts = _count_decompositions(
-        monkeypatch, lambda: pairs.append(_Pair(K1, K2, raw, e1=e1, e2=e2))
-    )
+    counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(s1, s2, raw)))
     assert counts == {"eigh": 0, "eigvalsh": 0}
-    assert [e.eigenvectors.tobytes() for e in (e1, e2)] == before
-    expected = _Pair(K1, K2, raw)
+    assert [s[0].eigenvectors.tobytes() for s in (s1, s2)] == before
+    assert (pairs[0].n, pairs[0].tr1) == (K1.n, K1.trace())
+    expected = _gram_pair(K1, K2, raw)
     assert pairs[0].overlap.tobytes() == expected.overlap.tobytes()
     assert _pair_measures(pairs[0]) == _pair_measures(expected)
     if label == "duplicates":
@@ -312,16 +357,16 @@ def test_a_pair_handed_its_spectra_matches_the_matrix_pair(label, monkeypatch):
     "G", [_grams(0, 12, 12)[2], _duplicate_sample_gram()], ids=["full-rank", "duplicates"]
 )
 def test_a_self_pair_handed_its_spectrum_matches_the_matrix_self_pair(G, monkeypatch):
-    """_Pair(K, K, e1=sym_eig(K)) decomposes nothing, keeps the caller's
-    eigenvectors and has the bits of _Pair(K, K)."""
+    """_Pair(s, s) for s = _spectrum(K) decomposes nothing, keeps the caller's
+    eigenvectors and has the bits of _gram_pair(K, K)."""
     K = normalize_trace(G)
-    e = sym_eig(K)
-    before = e.eigenvectors.tobytes()
+    s = _spectrum(K, "K1")
+    before = s[0].eigenvectors.tobytes()
     pairs = []
-    counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(K, K, e1=e)))
+    counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(s, s)))
     assert counts == {"eigh": 0, "eigvalsh": 0}
-    assert e.eigenvectors.tobytes() == before
-    expected = _Pair(K, K)
+    assert s[0].eigenvectors.tobytes() == before
+    expected = _gram_pair(K, K)
     assert pairs[0].overlap.tobytes() == expected.overlap.tobytes()
     assert _pair_measures(pairs[0]) == _pair_measures(expected)
 
@@ -490,7 +535,7 @@ def _trace_pairs():
 @pytest.mark.parametrize("a", [0.5, 2.0, 3.0])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_integer_beta_trace_is_the_sandwich_power_sum(label, K1, K2, raw, a, k):
-    pair = _Pair(K1, K2, raw)
+    pair = _pair_of(K1, K2, raw)
     t, clamped = pair.mirrored_trace(a, float(k))
     expected = sym_eig(_sandwich(pair, a, k), vectors=False).power_sum(k)
     assert t == pytest.approx(expected, rel=1e-12)
@@ -510,7 +555,7 @@ def test_every_decomposed_sandwich_is_bitwise_symmetric(label, K1, K2, raw, monk
         handed.append(np.array_equal(A, A.T))
         return original(A, *args, **kwargs)
 
-    pair = _Pair(K1, K2, raw)
+    pair = _pair_of(K1, K2, raw)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     for a, beta in ((0.5, 0.5), (0.3, 0.75), (2.0, 2.5), (4.0, 17.0)):
         pair.mirrored_trace(a, beta)

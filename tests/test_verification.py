@@ -140,7 +140,7 @@ def test_scaling_law_catches_a_wrong_raw_trace(monkeypatch):
     nothing else: the law compares the raw scaled pair with the unit-trace
     base pair, so an error that does not depend on scale cannot cancel."""
     monkeypatch.setattr(
-        gramxent.estimators, "_positive_trace", lambda G, name: 2.0 * G.trace()
+        gramxent.estimators, "_positive_trace", lambda tr, name: 2.0 * tr
     )
     reports = run_property_suite(n_seeds=1, sizes=(4,))
     assert [r.name for r in reports if not r.passed] == ["scaling-law"]
