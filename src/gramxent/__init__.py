@@ -53,7 +53,6 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     SampleSet,
-    eval_kernel,
     gram_cross,
     gram_univariate,
     hadamard_joint,
@@ -62,11 +61,7 @@ from .kernels import (
 from .psd_linalg import (
     EigenDecomposition,
     SupportReport,
-    matrix_log,
-    matrix_power,
-    support_included,
     sym_eig,
-    trace_product,
 )
 from .verification import (
     Partition,

@@ -109,14 +109,13 @@ def _log_trace(name, t, clamp_count):
     return math.log(t)
 
 
-def _spectrum(K, name, raw=False):
-    """K's trace contract checked, its one ``sym_eig`` and tr(K): all a ``_Pair`` reads of K."""
-    _check_trace_contract(K, name, raw)
+def _spectrum(K):
+    """K's one ``sym_eig`` and tr(K): all a ``_Pair`` reads of K."""
     return sym_eig(K), K.trace()
 
 
 class _Pair:
-    """Two checked spectra (``_spectrum``) with every bipartite measure read off them.
+    """Two spectra (``_spectrum``) with every bipartite measure read off them.
 
     Construction forms the overlap O = U1^T U2 and the gating support report
     (supp K1 inside supp K2) and keeps n and tr(K1), no Gram; ``_Pair(s, s)`` is
@@ -224,14 +223,14 @@ class _Pair:
 
 
 def _gram_pair(K1, K2, raw=False):
-    """The pair of two Grams the caller holds: contracts and sizes are checked before
-    any decomposition (``_spectrum`` checks each again); K2 is K1 decomposes once."""
+    """The pair of two Grams the caller holds: the only check of their trace contracts,
+    made with the size check before any decomposition; K2 is K1 decomposes once."""
     _check_trace_contract(K1, "K1", raw)
     _check_trace_contract(K2, "K2", raw)
     if K1.n != K2.n:
         raise ArgumentError(f"size mismatch: {K1.n} vs {K2.n}")
-    s1 = _spectrum(K1, "K1", raw)
-    return _Pair(s1, s1 if K2 is K1 else _spectrum(K2, "K2", raw), raw)
+    s1 = _spectrum(K1)
+    return _Pair(s1, s1 if K2 is K1 else _spectrum(K2), raw)
 
 
 def nonmirrored_cross_entropy(K1, K2, alpha, *, raw=False):

@@ -259,9 +259,9 @@ def _bipartite_rows(experiment, family, pair, parameter, d, r, alpha_grid):
     )
 
 
-def _unit_spectrum(spec, S, name):
-    """The checked spectrum of S's trace-normalized Gram, which is released on return."""
-    return _spectrum(normalize_trace(gram_univariate(spec, S)), name)
+def _unit_spectrum(spec, S):
+    """The spectrum of S's trace-normalized Gram, which is released on return."""
+    return _spectrum(normalize_trace(gram_univariate(spec, S)))
 
 
 def run_convergence(config):
@@ -283,7 +283,7 @@ def run_convergence(config):
                 Y = SampleSet(config.sample_scale * base)
                 rows += _bipartite_rows(
                     "convergence", spec.family,
-                    _Pair(_unit_spectrum(spec, X, "K1"), _unit_spectrum(spec, Y, "K2")),
+                    _Pair(_unit_spectrum(spec, X), _unit_spectrum(spec, Y)),
                     n, d, r, config.alpha_grid,
                 )
     return sorted(rows, key=ResultRow.key)
@@ -318,12 +318,12 @@ def _sweep_rows(config, grid, blue_builder):
     for family in (config.kernel,) if config.kernel else FAMILIES:
         spec = KernelSpec(family, config.sigma)
         for r, red, blue_base in _draws(config, n, n, d):
-            s_red = _unit_spectrum(spec, red, "K1")  # serves every cell of the replicate
+            s_red = _unit_spectrum(spec, red)  # serves every cell of the replicate
             for p in grid:
                 blue = SampleSet(blue_builder(blue_base, float(p), config))
                 rows += _bipartite_rows(
                     config.experiment, spec.family,
-                    _Pair(s_red, _unit_spectrum(spec, blue, "K2")),
+                    _Pair(s_red, _unit_spectrum(spec, blue)),
                     p, d, r, config.alpha_grid,
                 )
     return sorted(rows, key=ResultRow.key)

@@ -114,30 +114,6 @@ class CrossGram:
     values: np.ndarray
 
 
-def eval_kernel(spec, s, a):
-    """Evaluate the kernel on a single pair of d-vectors.
-
-    Raises ArgumentError on dimension mismatch and KernelOverflowError when an
-    exponential-inner-product exponent exceeds the exp() range or is NaN. An
-    overflowed gaussian distance is the exact limit 0, as in _kernel_block.
-    """
-    s = np.asarray(s, dtype=float).ravel()
-    a = np.asarray(a, dtype=float).ravel()
-    if s.shape != a.shape:
-        raise ArgumentError(f"vector dimensions differ: {s.shape[0]} vs {a.shape[0]}")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a))):
-        raise ArgumentError("kernel inputs contain non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.family == GAUSSIAN:
-            diff = s - a
-            return float(np.exp(-spec.bandwidth * float(diff @ diff)))
-        # summed without BLAS, whose dot can sum -inf + inf to -inf, not NaN
-        exponent = spec.bandwidth * float(np.sum(s * a))
-    if not exponent <= OVERFLOW_LIMIT:
-        raise KernelOverflowError(0, 0, exponent)
-    return float(np.exp(exponent))
-
-
 def _kernel_block(spec, A, B):
     """Kernel values between the rows of A (n x d) and B (m x d), n x m.
 
@@ -177,8 +153,8 @@ def _kernel_block(spec, A, B):
 def gram_univariate(spec, X):
     """Build the n x n Gram matrix of all pairwise kernel evaluations.
 
-    Vectorized; entry (i, j) agrees with eval_kernel(spec, x_i, x_j) to
-    rounding. The result is raw (not trace normalized).
+    Vectorized; entry (i, j) is the kernel of x_i and x_j to rounding. The
+    result is raw (not trace normalized).
     """
     K = _kernel_block(spec, X.data, X.data)
     if spec.family == GAUSSIAN:

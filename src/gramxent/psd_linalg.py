@@ -11,14 +11,11 @@ all spectral functions support-restricted.
 
 The estimators decompose each Gram matrix once and work in the pair's
 eigenbases: traces, sandwiches and support tests are read off the two
-support spectra and blocks of the overlap O = U1^T U2. ``matrix_power``,
-``matrix_log`` and ``support_included`` are the same views in the standard
-basis and serve as the reference for those formulas.
+support spectra and blocks of the overlap O = U1^T U2.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,25 +55,17 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class SupportReport:
-    """Outcome of a support-inclusion test between two PSD matrices.
+    """Outcome of the test whether supp K1 lies inside supp K2.
 
-    rank_1 / rank_2 are the numerical ranks of the first / second positional
-    argument of support_included. ``residual`` is the Frobenius norm of the
-    first argument's range leaked into the second argument's nullspace.
+    rank_1 / rank_2 are the numerical ranks of K1 / K2. ``residual`` is the
+    Frobenius norm of K1's range leaked into K2's nullspace; ``included`` is
+    residual <= DEFAULT_SUPPORT_TOL.
     """
 
     rank_1: int
     rank_2: int
     included: bool
     residual: float
-    tolerance: float
-
-
-class SpectralResult(NamedTuple):
-    """A spectral function's value plus how many eigenvalues were clamped."""
-
-    values: np.ndarray
-    clamp_count: int
 
 
 def _as_array(G):
@@ -146,34 +135,6 @@ def clamp_threshold(eigenvalues):
     return w.shape[0] * _EPS * max(lam_max, 0.0)
 
 
-def _spectral_apply(name, G, f, *args, needs_rank):
-    """V f(lambda, *args) V^T over G's support, with G's clamp count."""
-    eig = sym_eig(G)
-    if needs_rank and eig.rank == 0:
-        raise DegenerateMatrixError(f"{name}: matrix has numerical rank 0")
-    V = eig.eigenvectors[:, : eig.rank]
-    M = (V * f(eig.support, *args)) @ V.T
-    M = 0.5 * (M + M.T)  # kill rounding asymmetry from the two matmuls
-    return SpectralResult(values=M, clamp_count=eig.clamp_count)
-
-
-def matrix_power(G, p):
-    """Spectral power G^p restricted to the numerical support.
-
-    Off-support eigenvalues map to 0 for either sign of p (pseudo-inverse
-    convention). Returns (matrix, clamp_count).
-    """
-    p = float(p)
-    return _spectral_apply("matrix_power", G, np.power, p, needs_rank=p < 0)
-
-
-def matrix_log(G):
-    """Spectral logarithm with log(lambda) on the support and 0 off it, which
-    keeps it finite; in tr(K1 log K2) the off-support value meets only K1's
-    support, inside K2's, so it is immaterial there."""
-    return _spectral_apply("matrix_log", G, np.log, needs_rank=True)
-
-
 def _support_report(e_in, e_out, overlap):
     """Support inclusion of ``e_in`` in ``e_out`` from their eigenbasis overlap.
 
@@ -186,29 +147,4 @@ def _support_report(e_in, e_out, overlap):
         rank_2=e_out.rank,
         included=bool(residual <= DEFAULT_SUPPORT_TOL),
         residual=residual,
-        tolerance=DEFAULT_SUPPORT_TOL,
     )
-
-
-def support_included(inner, outer):
-    """Test whether the support of ``inner`` lies inside the support of ``outer``.
-
-    residual = || P0 @ U ||_F where U spans inner's numerical range and P0
-    projects onto outer's numerical nullspace; included iff residual <=
-    DEFAULT_SUPPORT_TOL.
-    rank_1 is inner's rank, rank_2 is outer's.
-    """
-    A, B = _as_array(inner), _as_array(outer)
-    if A.shape != B.shape:
-        raise ArgumentError(f"size mismatch: {A.shape} vs {B.shape}")
-    eig_in, eig_out = sym_eig(A), sym_eig(B)
-    return _support_report(eig_in, eig_out, eig_in.eigenvectors.T @ eig_out.eigenvectors)
-
-
-def trace_product(A, B):
-    """tr(A @ B) for symmetric A, B via the entrywise sum, skipping the product."""
-    A = _as_array(A)
-    B = _as_array(B)
-    if A.shape != B.shape:
-        raise ArgumentError(f"size mismatch: {A.shape} vs {B.shape}")
-    return float(np.sum(A * B))

@@ -177,7 +177,7 @@ def run_property_suite(
         for si, n in enumerate(sizes):
             (K1, K2, K3, K4), (G1, G2), C12 = _draw_instance(seed, k, si, n, spec)
             # one spectrum per matrix, shared by the base, self and perturbed pairs
-            s1, s2 = _spectrum(K1, "K1"), _spectrum(K2, "K2")
+            s1, s2 = _spectrum(K1), _spectrum(K2)
             base = _Pair(s1, s2)
             c_non = {a: base.nonmirrored(a).value for a in alphas}
             c_mir = {a: base.mirrored(a, a).value for a in alphas}
@@ -203,8 +203,8 @@ def run_property_suite(
                 tally["unitary-invariance"].append(abs(gap))
 
             S1 = _scaled(G1, rho1)
-            t1 = _spectrum(S1, "K1", raw=True)
-            scaled = _Pair(t1, _spectrum(_scaled(G2, rho2), "K2", raw=True), raw=True)
+            t1 = _spectrum(S1)
+            scaled = _Pair(t1, _spectrum(_scaled(G2, rho2)), raw=True)
             tri_scaled = _Triple(S1, CrossGram(rho1 * C12.values), _scaled(G2, rho1), t1[0])
             expected = math.log(rho1 * G1.trace() / (rho2 * G2.trace()))
             for a in alphas:
@@ -240,7 +240,7 @@ def run_property_suite(
                 S = 0.5 * (S + S.T)
                 noise = 1e-6 * S / np.linalg.norm(S)
                 K1_noisy = normalize_trace(GramMatrix(K1.values + noise))
-                perturbed = _Pair(_spectrum(K1_noisy, "K1"), s2)
+                perturbed = _Pair(_spectrum(K1_noisy), s2)
                 for a in alphas:
                     tally["continuity"].append(abs(perturbed.nonmirrored(a).value - c_non[a]))
                     tally["continuity"].append(abs(perturbed.mirrored(a, a).value - c_mir[a]))

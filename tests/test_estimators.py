@@ -22,7 +22,6 @@ from gramxent import (
     SampleSet,
     UNIT_TRACE,
     conditional_entropy,
-    eval_kernel,
     gram_cross,
     gram_univariate,
     joint_entropy,
@@ -448,9 +447,13 @@ def test_tripartite_cip_matches_double_sums():
     )
     cip = math.exp((2.0 - 1.0) * (res.value - res.entropy_term))
     n, m = len(xs), len(ys)
-    kxx = sum(eval_kernel(GAUSS, xs[i], xs[j]) for i in range(n) for j in range(n))
-    kyy = sum(eval_kernel(GAUSS, ys[i], ys[j]) for i in range(m) for j in range(m))
-    kxy = sum(eval_kernel(GAUSS, xs[i], ys[j]) for i in range(n) for j in range(m))
+
+    def k(s, t):
+        return math.exp(-GAUSS.bandwidth * sum((u - v) ** 2 for u, v in zip(s, t)))
+
+    kxx = sum(k(xs[i], xs[j]) for i in range(n) for j in range(n))
+    kyy = sum(k(ys[i], ys[j]) for i in range(m) for j in range(m))
+    kxy = sum(k(xs[i], ys[j]) for i in range(n) for j in range(m))
     explicit = kxx / n**2 + kyy / m**2 - 2.0 * kxy / (n * m)
     assert cip == pytest.approx(explicit, rel=1e-10)
 

@@ -15,7 +15,6 @@ from gramxent import (
     KernelOverflowError,
     KernelSpec,
     SampleSet,
-    eval_kernel,
     gram_cross,
     gram_univariate,
     hadamard_joint,
@@ -47,44 +46,6 @@ def oracle_gram(spec, X, Y):
 
 def rand_samples(seed, n, d, scale=1.0):
     return SampleSet(scale * np.random.default_rng(seed).standard_normal((n, d)))
-
-
-# ---------------------------------------------------------------- eval_kernel
-
-def test_eval_gaussian_zero_distance():
-    assert eval_kernel(GAUSS, np.zeros(3), np.zeros(3)) == 1.0
-
-
-def test_eval_gaussian_unit_distance():
-    v = eval_kernel(GAUSS, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-    npt.assert_allclose(v, EXP_MINUS_ONE, rtol=1e-15)
-
-
-def test_eval_eip_orthogonal():
-    assert eval_kernel(EIP, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-
-
-@pytest.mark.parametrize("spec", [GAUSS, EIP], ids=["gaussian", "eip"])
-def test_eval_empty_vectors_give_one(spec):
-    """Two length-0 vectors have distance and inner product 0."""
-    assert eval_kernel(spec, [], []) == 1.0
-
-
-def test_eval_dimension_mismatch():
-    with pytest.raises(ArgumentError):
-        eval_kernel(GAUSS, np.zeros(2), np.zeros(3))
-
-
-def test_eval_rejects_nan_input():
-    with pytest.raises(ArgumentError, match="non-finite"):
-        eval_kernel(GAUSS, np.array([np.nan, 0.0]), np.zeros(2))
-
-
-def test_eval_eip_overflow():
-    s = np.array([30.0, 0.0])
-    with pytest.raises(KernelOverflowError) as exc:
-        eval_kernel(EIP, s, s)
-    assert exc.value.exponent == pytest.approx(900.0)
 
 
 def test_kernel_spec_validation():
@@ -326,21 +287,15 @@ def test_huge_bandwidth_is_the_exact_limit():
 def test_huge_samples_are_the_exact_limit():
     """Samples whose squares overflow: the distances overflow to inf, so the
     gaussian is exactly 0 between far points, with no inf - inf warning, and
-    a small pair among them keeps its exact value. eval_kernel agrees, with no
-    overflow warning either."""
+    a small pair among them keeps its exact value."""
     X = SampleSet(np.array([[1e200, -1e200], [1.0, 2.0], [1.7e308, 0.0]]))
     Y = SampleSet(np.array([[1e200, 1e200], [1.0, 1.0]]))
     npt.assert_array_equal(gram_univariate(GAUSS, X).values, np.eye(3))
     npt.assert_array_equal(
         gram_cross(GAUSS, X, Y).values, [[0.0, 0.0], [0.0, EXP_MINUS_ONE], [0.0, 0.0]]
     )
-    assert eval_kernel(GAUSS, X.data[0], Y.data[0]) == 0.0
-    assert eval_kernel(GAUSS, X.data[1], Y.data[1]) == EXP_MINUS_ONE
-    assert eval_kernel(GAUSS, [1e200], [0.0]) == 0.0
     with pytest.raises(KernelOverflowError):
         gram_univariate(EIP, X)
-    with pytest.raises(KernelOverflowError):
-        eval_kernel(EIP, [1e200], [1e200])
 
 
 def test_mixed_sign_overflowed_inner_product_is_an_overflow():
@@ -360,8 +315,6 @@ def test_mixed_sign_overflowed_inner_product_is_an_overflow():
     s, t = np.array([-1e200, 1e200]), np.array([1e200, 1e200])
     with pytest.raises(KernelOverflowError):
         gram_cross(EIP, SampleSet(s[None, :]), SampleSet(t[None, :]))
-    with pytest.raises(KernelOverflowError):
-        eval_kernel(EIP, s, t)
 
 
 # -------------------------------------------------------------------- mirror

@@ -26,7 +26,7 @@ from test_estimators import _large_order_draws, unit
 ORDERS = (0.05, 0.1, 0.2, 0.5, 2.0, 4.0)
 RTOL = 1e-12
 K1, K2 = (unit(S) for S in _large_order_draws())
-PAIR = _Pair(_spectrum(K1, "K1"), _spectrum(K2, "K2"))
+PAIR = _Pair(_spectrum(K1), _spectrum(K2))
 
 
 def _working_dps():

@@ -1,20 +1,14 @@
-"""Spectral primitives: eigendecomposition, powers, logs, support checks."""
+"""Spectral primitives: eigendecomposition, and the powers, logs and support
+tests read off it."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gramxent import (
-    ArgumentError,
-    DegenerateMatrixError,
-    GramMatrix,
-    matrix_log,
-    matrix_power,
-    support_included,
-    sym_eig,
-    trace_product,
-)
+from gramxent import ArgumentError, GramMatrix, sym_eig
+from gramxent.estimators import _gram_pair
 from gramxent.psd_linalg import SYMMETRY_RTOL, clamp_threshold
+from test_spectral_core import _power, _spectral
 
 
 def rand_psd(seed, n, rank=None):
@@ -26,7 +20,7 @@ def rand_psd(seed, n, rank=None):
 
 
 def spectral_exp(S):
-    """Test-local exponential of a symmetric matrix (oracle for matrix_log)."""
+    """Test-local exponential of a symmetric matrix, which the log inverts."""
     w, V = np.linalg.eigh(S)
     return (V * np.exp(w)) @ V.T
 
@@ -68,7 +62,6 @@ def test_an_eigenvalue_at_the_clamp_threshold_is_clamped_and_the_next_float_kept
     npt.assert_array_equal(dec.support, [1.0, above])
     assert np.shares_memory(dec.support, dec.eigenvalues)
     assert dec.power_sum(1.0) == 1.0 + above
-    assert matrix_power(G, -1).clamp_count == 1
 
 
 def test_sym_eig_rejects_asymmetric():
@@ -88,8 +81,6 @@ def test_a_complex_array_is_rejected_not_cast_to_its_real_part():
     M = np.array([[0.5, 0.2j], [-0.2j, 0.5]])
     with pytest.raises(ArgumentError, match="complex"):
         sym_eig(M)
-    with pytest.raises(ArgumentError, match="complex"):
-        matrix_power(M, 2)
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -119,106 +110,88 @@ def test_an_all_zero_matrix_has_rank_zero(n):
     assert (dec.rank, dec.clamp_count) == (0, n)
 
 
-# --------------------------------------------------------------- matrix_power
+# ------------------------------------------- spectral functions of sym_eig
+# The standard-basis reference of tests/test_spectral_core.py, V f(lambda) V^T
+# over the support, checked against closed forms before it is trusted.
 
 def test_power_identity_exponent_is_copy():
     G = rand_psd(1, 5)
-    out = matrix_power(GramMatrix(G), 1.0)
-    npt.assert_allclose(out.values, G, atol=1e-12)
-    assert out.clamp_count == 0
+    npt.assert_allclose(_power(G, 1.0), G, atol=1e-12)
+    assert sym_eig(G).clamp_count == 0
 
 
 def test_power_identity_exponent_is_support_restricted():
     """p = 1 drops off-support and negative eigenvalues like any other p."""
-    G = GramMatrix(np.diag([1.0, 1e-20, -1e-3]))
-    out = matrix_power(G, 1.0)
-    npt.assert_allclose(out.values, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
-    assert out.clamp_count == 2
-    npt.assert_allclose(out.values, matrix_power(G, 1.0000001).values, atol=1e-6)
+    G = np.diag([1.0, 1e-20, -1e-3])
+    out = _power(G, 1.0)
+    npt.assert_allclose(out, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
+    assert sym_eig(G).clamp_count == 2
+    npt.assert_allclose(out, _power(G, 1.0000001), atol=1e-6)
 
 
 def test_power_square_root_diagonal():
-    out = matrix_power(GramMatrix(np.diag([4.0, 1.0])), 0.5)
-    npt.assert_allclose(out.values, np.diag([2.0, 1.0]), atol=1e-14)
+    npt.assert_allclose(_power(np.diag([4.0, 1.0]), 0.5), np.diag([2.0, 1.0]), atol=1e-14)
 
 
 def test_power_cube_matches_repeated_multiplication():
     G = rand_psd(2, 6)
-    out = matrix_power(GramMatrix(G), 3.0)
     explicit = G @ G @ G
-    assert np.linalg.norm(out.values - explicit) / np.linalg.norm(explicit) < 1e-9
+    assert np.linalg.norm(_power(G, 3.0) - explicit) / np.linalg.norm(explicit) < 1e-9
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, -0.5])
 @pytest.mark.parametrize("b", [0.5, 1.0, 1.5, -0.5])
 def test_power_exponent_additivity(a, b):
     G = rand_psd(3, 7)  # full rank
-    lhs = matrix_power(GramMatrix(G), a + b).values
-    rhs = matrix_power(GramMatrix(G), a).values @ matrix_power(GramMatrix(G), b).values
+    lhs = _power(G, a + b)
+    rhs = _power(G, a) @ _power(G, b)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-8
 
 
 def test_power_commutes_with_input():
     G = rand_psd(4, 6)
-    P = matrix_power(GramMatrix(G), 0.7).values
+    P = _power(G, 0.7)
     assert np.linalg.norm(P @ G - G @ P) < 1e-9
 
 
 def test_power_negative_is_pseudo_inverse():
     """Off-support directions map to zero for negative exponents too."""
     G = np.diag([2.0, 0.5, 0.0])
-    out = matrix_power(GramMatrix(G), -1.0)
-    npt.assert_allclose(out.values, np.diag([0.5, 2.0, 0.0]), atol=1e-13)
-    assert out.clamp_count == 1
+    npt.assert_allclose(_power(G, -1.0), np.diag([0.5, 2.0, 0.0]), atol=1e-13)
+    assert sym_eig(G).clamp_count == 1
 
 
 def test_power_counts_clamped_eigenvalues():
-    G = rand_psd(5, 6, rank=4)
-    out = matrix_power(GramMatrix(G), 0.5)
-    assert out.clamp_count == 2
+    assert sym_eig(rand_psd(5, 6, rank=4)).clamp_count == 2
 
-
-def test_power_negative_of_rank_zero_is_degenerate():
-    with pytest.raises(DegenerateMatrixError):
-        matrix_power(GramMatrix(np.zeros((3, 3))), -1.0)
-
-
-# ----------------------------------------------------------------- matrix_log
 
 def test_log_identity_is_zero():
-    out = matrix_log(GramMatrix(np.eye(4)))
-    npt.assert_allclose(out.values, np.zeros((4, 4)), atol=1e-14)
+    npt.assert_allclose(_spectral(np.eye(4), np.log), np.zeros((4, 4)), atol=1e-14)
 
 
 def test_log_diagonal():
-    out = matrix_log(GramMatrix(np.diag([np.e, 1.0])))
-    npt.assert_allclose(out.values, np.diag([1.0, 0.0]), atol=1e-14)
+    out = _spectral(np.diag([np.e, 1.0]), np.log)
+    npt.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_log_zero_off_support():
-    out = matrix_log(GramMatrix(np.diag([2.0, 0.0])))
-    npt.assert_allclose(out.values, np.diag([np.log(2.0), 0.0]), atol=1e-14)
+    out = _spectral(np.diag([2.0, 0.0]), np.log)
+    npt.assert_allclose(out, np.diag([np.log(2.0), 0.0]), atol=1e-14)
 
 
 def test_log_inverts_spectral_exp():
     rng = np.random.default_rng(6)
     S = rng.standard_normal((5, 5))
     S = 0.3 * (S + S.T)
-    out = matrix_log(GramMatrix(spectral_exp(S)))
-    assert np.linalg.norm(out.values - S) < 1e-9
+    assert np.linalg.norm(_spectral(spectral_exp(S), np.log) - S) < 1e-9
 
 
-def test_log_rank_zero_is_degenerate():
-    with pytest.raises(DegenerateMatrixError):
-        matrix_log(GramMatrix(np.zeros((2, 2))))
-
-
-# ----------------------------------------------------------- support_included
+# ------------------------------------------------------ a pair's support test
 
 def test_support_full_rank_outer_always_included():
     inner = GramMatrix(rand_psd(7, 5, rank=2))
     outer = GramMatrix(rand_psd(8, 5))
-    rep = support_included(inner, outer)
+    rep = _gram_pair(inner, outer, raw=True).support
     assert rep.included
     assert rep.residual <= 1e-12
     assert rep.rank_1 == 2 and rep.rank_2 == 5
@@ -226,13 +199,13 @@ def test_support_full_rank_outer_always_included():
 
 def test_support_reflexive():
     K = GramMatrix(rand_psd(9, 4, rank=3))
-    assert support_included(K, K).included
+    assert _gram_pair(K, K, raw=True).support.included
 
 
 def test_support_disjoint_rank_one():
     inner = GramMatrix(np.diag([0.0, 1.0]))
     outer = GramMatrix(np.diag([1.0, 0.0]))
-    rep = support_included(inner, outer)
+    rep = _gram_pair(inner, outer, raw=True).support
     assert not rep.included
     assert rep.residual == pytest.approx(1.0, abs=1e-12)
 
@@ -243,37 +216,10 @@ def test_support_monotone_under_psd_widening():
         inner = GramMatrix(rand_psd(3 * seed, 6, rank=3))
         outer = GramMatrix(rand_psd(3 * seed + 1, 6, rank=4))
         widened = GramMatrix(outer.values + rand_psd(3 * seed + 2, 6, rank=2))
-        if support_included(inner, outer).included:
-            assert support_included(inner, widened).included
+        if _gram_pair(inner, outer, raw=True).support.included:
+            assert _gram_pair(inner, widened, raw=True).support.included
 
 
 def test_support_size_mismatch():
     with pytest.raises(ArgumentError):
-        support_included(GramMatrix(np.eye(2)), GramMatrix(np.eye(3)))
-
-
-# -------------------------------------------------------------- trace_product
-
-def test_trace_product_identity_pair():
-    assert trace_product(np.eye(3), np.eye(3)) == 3.0
-
-
-def test_trace_product_identity_absorbs():
-    B = rand_psd(10, 4)
-    assert trace_product(np.eye(4), B) == pytest.approx(np.trace(B), rel=1e-14)
-
-
-def test_trace_product_matches_explicit_product():
-    A, B = rand_psd(11, 6), rand_psd(12, 6)
-    explicit = float(np.trace(A @ B))
-    assert trace_product(A, B) == pytest.approx(explicit, rel=1e-12)
-
-
-def test_trace_product_symmetric_exactly():
-    A, B = rand_psd(13, 5), rand_psd(14, 5)
-    assert trace_product(A, B) == trace_product(B, A)
-
-
-def test_trace_product_size_mismatch():
-    with pytest.raises(ArgumentError):
-        trace_product(np.eye(2), np.eye(3))
+        _gram_pair(GramMatrix(np.eye(2)), GramMatrix(np.eye(3)), raw=True)

@@ -2,8 +2,9 @@
 
 The estimators read every trace, sandwich and support test off the two
 spectra and the eigenbasis overlap of their inputs. The reference values
-below are composed from the standard-basis primitives instead (matrix_power,
-matrix_log, trace_product, support_included), so the two routes share only
+below are composed in the standard basis instead: spectral functions
+V f(lambda) V^T over each matrix's support, tr(AB) as the entrywise sum of
+A * B and the support residual ||P0 U||_F, so the two routes share only
 sym_eig.
 """
 
@@ -28,8 +29,6 @@ from gramxent import (
     gram_cross,
     gram_univariate,
     joint_entropy,
-    matrix_log,
-    matrix_power,
     matrix_renyi_entropy,
     mirrored_cross_entropy,
     mirrored_cross_entropy_two_param,
@@ -44,21 +43,19 @@ from gramxent import (
     run_property_suite,
     run_tripartite,
     run_variance_scale,
-    support_included,
     trace_distance_bounds,
-    trace_product,
     tripartite_cross_entropy,
 )
 from gramxent.estimators import PRODUCT_ORDER_MAX, _gram_pair, _Pair, _spectrum
 from gramxent.experiments import _bipartite_rows
-from gramxent.psd_linalg import sym_eig
+from gramxent.psd_linalg import DEFAULT_SUPPORT_TOL, SupportReport, sym_eig
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
 
 def _pair_of(K1, K2, raw=False):
-    """The pair of K1's and K2's checked spectra."""
-    return _Pair(_spectrum(K1, "K1", raw), _spectrum(K2, "K2", raw), raw)
+    """The pair of K1's and K2's spectra."""
+    return _Pair(_spectrum(K1), _spectrum(K2), raw)
 
 
 def _grams(seed, n, m):
@@ -335,11 +332,11 @@ def _spectra_in_cases():
 
 @pytest.mark.parametrize("label", sorted(_spectra_in_cases()))
 def test_a_pair_handed_its_spectra_matches_the_matrix_pair(label, monkeypatch):
-    """_Pair given both checked spectra makes no decomposition, leaves them as
+    """_Pair given both spectra makes no decomposition, leaves them as
     they were and gives every result of _gram_pair, which decomposes K1 and K2
     itself as the public estimators do."""
     K1, K2, raw = _spectra_in_cases()[label]
-    s1, s2 = _spectrum(K1, "K1", raw), _spectrum(K2, "K2", raw)
+    s1, s2 = _spectrum(K1), _spectrum(K2)
     before = [s[0].eigenvectors.tobytes() for s in (s1, s2)]
     pairs = []
     counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(s1, s2, raw)))
@@ -360,7 +357,7 @@ def test_a_self_pair_handed_its_spectrum_matches_the_matrix_self_pair(G, monkeyp
     """_Pair(s, s) for s = _spectrum(K) decomposes nothing, keeps the caller's
     eigenvectors and has the bits of _gram_pair(K, K)."""
     K = normalize_trace(G)
-    s = _spectrum(K, "K1")
+    s = _spectrum(K)
     before = s[0].eigenvectors.tobytes()
     pairs = []
     counts = _count_decompositions(monkeypatch, lambda: pairs.append(_Pair(s, s)))
@@ -400,8 +397,6 @@ def _entry_points(value):
         "tripartite-K12": lambda: tripartite_cross_entropy(G1, CrossGram(cross), G2, 2.0),
         "entropy": lambda: matrix_renyi_entropy(bad, 2.0),
         "bounds": lambda: trace_distance_bounds(K1, bad),
-        "matrix_power": lambda: matrix_power(bad, 1.0),
-        "support_included": lambda: support_included(K1, bad),
     }
 
 
@@ -439,14 +434,22 @@ def _pairs():
     return pairs
 
 
+def _spectral(K, f):
+    """V f(lambda) V^T over the support of K (a Gram or a plain array), 0 off it."""
+    eig = sym_eig(K)
+    V = eig.eigenvectors[:, : eig.rank]
+    M = (V * f(eig.support)) @ V.T
+    return 0.5 * (M + M.T)
+
+
 def _power(K, p):
-    return matrix_power(K, p).values
+    return _spectral(K, lambda w: np.power(w, float(p)))
 
 
 def _sandwich_trace(K1, K2, outer, inner, power):
     H = _power(K2, outer)
     M = H @ _power(K1, inner) @ H
-    return float(np.trace(_power(GramMatrix(0.5 * (M + M.T)), power)))
+    return float(np.trace(_power(0.5 * (M + M.T), power)))
 
 
 @pytest.mark.parametrize("label,K1,K2", _pairs(), ids=[p[0] for p in _pairs()])
@@ -454,7 +457,7 @@ def _sandwich_trace(K1, K2, outer, inner, power):
 def test_bipartite_values_match_standard_basis_reference(label, K1, K2, a):
     beta = max(a, 1.0 - a) + 0.25
     expected = {
-        "nonmirrored": math.log(trace_product(_power(K1, a), _power(K2, 1.0 - a))),
+        "nonmirrored": math.log(np.sum(_power(K1, a) * _power(K2, 1.0 - a))),
         "mirrored": math.log(_sandwich_trace(K1, K2, (1.0 - a) / (2.0 * a), 1.0, a)),
         "two-param": math.log(
             _sandwich_trace(K1, K2, (1.0 - a) / (2.0 * beta), a / beta, beta)
@@ -471,17 +474,25 @@ def test_bipartite_values_match_standard_basis_reference(label, K1, K2, a):
 
 @pytest.mark.parametrize("label,K1,K2", _pairs(), ids=[p[0] for p in _pairs()])
 def test_umegaki_matches_standard_basis_reference(label, K1, K2):
-    expected = trace_product(K1, matrix_log(K1).values - matrix_log(K2).values) / K1.trace()
+    expected = np.sum(K1.values * (_spectral(K1, np.log) - _spectral(K2, np.log))) / K1.trace()
     got = mirrored_limit_umegaki(K1, K2).value
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
+def _support_reference(inner, outer):
+    """The report of supp inner inside supp outer from ||P0 U||_F: U spans
+    inner's range and P0 = N N^T projects onto outer's nullspace."""
+    e_in, e_out = sym_eig(inner), sym_eig(outer)
+    N = e_out.eigenvectors[:, e_out.rank :]
+    residual = float(np.linalg.norm(N @ (N.T @ e_in.eigenvectors[:, : e_in.rank])))
+    return SupportReport(e_in.rank, e_out.rank, residual <= DEFAULT_SUPPORT_TOL, residual)
+
+
 def _assert_same_report(got, expected):
-    assert (got.rank_1, got.rank_2, got.included, got.tolerance) == (
+    assert (got.rank_1, got.rank_2, got.included) == (
         expected.rank_1,
         expected.rank_2,
         expected.included,
-        expected.tolerance,
     )
     assert got.residual == pytest.approx(expected.residual, abs=1e-12)
 
@@ -490,7 +501,7 @@ def _assert_same_report(got, expected):
 def test_support_reports_match_support_included(label, K1, K2):
     """Both directions, so the not-included (+inf) path is covered too."""
     for A, B in ((K1, K2), (K2, K1)):
-        expected = support_included(A, B)
+        expected = _support_reference(A, B)
         for measure in (nonmirrored_cross_entropy, mirrored_cross_entropy):
             res = measure(A, B, 2.0)
             _assert_same_report(res.support, expected)
@@ -501,7 +512,7 @@ def test_support_reports_match_support_included(label, K1, K2):
         res = mirrored_limit_umegaki(A, B)
         _assert_same_report(res.support, expected)
     if label == "rank-deficient-K2":
-        assert not support_included(K2, K1).included  # the +inf path ran
+        assert not _support_reference(K2, K1).included  # the +inf path ran
 
 
 # ------------------------------------------------- integer-order sandwiches
