@@ -43,12 +43,14 @@ class NumericalDegeneracyError(GramxentError):
     collapsed to <= 0 after eigenvalue clamping, underflowed, or overflowed to
     inf or NaN (a bipartite +inf means only that supp K1 is not inside supp K2).
 
-    Carries diagnostics so the failure is actionable.
+    Carries diagnostics so the failure is actionable: the trace, the clamp
+    count and the order it was read at.
     """
 
-    def __init__(self, message, *, trace_value, clamp_count):
+    def __init__(self, message, *, trace_value, clamp_count, order=None):
         self.trace_value = trace_value
         self.clamp_count = clamp_count
+        self.order = order
         super().__init__(
             f"{message} (trace argument {trace_value:.6g}, {clamp_count} eigenvalues clamped)"
         )

@@ -24,22 +24,35 @@ exact on raw inputs.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ArgumentError, ContractError, DegenerateMatrixError, NumericalDegeneracyError
 from .kernels import RAW, UNIT_TRACE, CrossGram, _check_gram, _positive_trace, hadamard_joint
-from .psd_linalg import SupportReport, _check_finite, _check_symmetric, _support_report, sym_eig
+from .psd_linalg import (
+    SupportReport,
+    _check_finite,
+    _check_symmetric,
+    _support_report,
+    sym_eig,
+    sym_eigvals,
+)
 
 # Orders this close to 1 are rejected; the mirrored limit handles a -> 1.
 ALPHA_UNIT_GAP = 1e-6
 
 # Integer sandwich orders up to this one are traced by matrix products, at most
-# five n x n matmuls; past it one eigvalsh of the sandwich is cheaper.
+# five and none at 2; past it one eigvalsh of the sandwich is cheaper.
 PRODUCT_ORDER_MAX = 16
 
 ZERO_CIP_FLOOR = 1e-300
 DEGENERATE_ZERO_CIP = "zero-cip"
+
+
+def _by_products(beta):
+    """Whether tr(M^beta) is read off matrix products: beta an integer <= PRODUCT_ORDER_MAX."""
+    return beta == int(beta) and beta <= PRODUCT_ORDER_MAX
 
 
 def _order(alpha):
@@ -99,12 +112,12 @@ def _check_trace_contract(K, name, raw):
         raise ContractError(f"{name} is flagged unit-trace but has trace {K.trace():.6g}")
 
 
-def _log_trace(name, t, clamp_count):
-    """log t for a trace or power sum t; a t outside (0, inf), NaN included, is
-    a NumericalDegeneracyError carrying t and the clamp count."""
+def _log_trace(name, t, clamp_count, order):
+    """log t for a trace or power sum t at ``order``; a t outside (0, inf), NaN
+    included, is a NumericalDegeneracyError carrying t, the clamp count and the order."""
     if not (0 < t < math.inf):
         raise NumericalDegeneracyError(
-            f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count
+            f"{name} trace collapsed", trace_value=t, clamp_count=clamp_count, order=order
         )
     return math.log(t)
 
@@ -119,8 +132,11 @@ class _Pair:
 
     Construction forms the overlap O = U1^T U2 and the gating support report
     (supp K1 inside supp K2) and keeps n and tr(K1), no Gram; ``_Pair(s, s)`` is
-    a self pair. The nonmirrored measure and the Umegaki limit decompose nothing;
-    a mirrored value decomposes its own sandwich at most once per (a, beta).
+    a self pair. ``values`` and ``traces`` read a batch of orders and (a, beta)
+    sandwich keys in one pass, and every other reader is a batch of one. A
+    value's bits do not depend on the rest of its batch. The nonmirrored
+    measure and the Umegaki limit decompose nothing; a mirrored value
+    decomposes its own sandwich at most once per (a, beta).
     """
 
     def __init__(self, s1, s2, raw=False):
@@ -136,90 +152,130 @@ class _Pair:
         self.clamp_count = e1.clamp_count + e2.clamp_count
         self._sandwiches = {}
 
-    def nonmirrored_trace(self, a):
-        """tr(K1^a K2^(1-a)) = lambda^a . (O o O) . mu^(1-a) on the supports;
-        a power overflowing at a large order leaves it inf or NaN, not a warning."""
+    def traces(self, orders=(), keys=()):
+        """tr(K1^a K2^(1-a)) at each of ``orders`` and tr(M^beta) at each
+        (a, beta) of ``keys``, as two float arrays; a power overflowing at a
+        large order leaves a trace inf or NaN, not a warning.
+
+        Each nonmirrored trace is lambda^a . (O o O) . mu^(1-a) on the
+        supports, all of them off one O o O and each summed on its own.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
-            p1, p2 = np.power(self.lam, a), np.power(self.mu, 1.0 - a)
-            return float(p1 @ (self.block * self.block) @ p2)
+            new = [k for k in dict.fromkeys(keys) if k not in self._sandwiches]
+            if new:
+                self._trace_sandwiches(new)
+            non = []
+            if len(orders):
+                squares = self.block * self.block
+                non = [float(np.power(self.lam, a) @ squares @ np.power(self.mu, 1.0 - a))
+                       for a in orders]
+        return np.array(non), np.array([self._sandwiches[k][0] for k in keys])
+
+    def _trace_sandwiches(self, keys):
+        """tr(M^beta) and M's clamp count for each (a, beta) of ``keys``, for
+        M = K2^((1-a)/2beta) K1^(a/beta) K2^((1-a)/2beta).
+
+        In K2's eigenbasis M is zero off its r2 x r2 support block
+        C o (w w^T), with w = mu^((1-a)/2beta) and C = H^T H for the factor
+        H = diag(lambda^(a/2beta)) O_block; C is formed once per a/beta. C is
+        a symmetric product and w w^T a product of commuting factors, so M is
+        symmetric bit for bit. An overflowed M is its own trace (inf or NaN)
+        with no power taken. At an integer beta = k <= PRODUCT_ORDER_MAX no
+        spectrum of M is taken, so none are clamped: with P = M^(k//2), tr(M^k)
+        is ||P||_F^2 for even k (||M||_F^2 at k = 2) and ||H diag(w) P||_F^2
+        for odd k. Every other M is a slice of one stack that one stacked
+        eigvalsh decomposes as the n x n sandwich, so its clamp threshold and
+        count are the full sandwich's.
+        """
+        r2 = self.mu.size
+        # a slot per decomposed M, and one that a traced or overflowed M reuses
+        slots = min(len(keys), 1 + sum(not _by_products(beta) for _, beta in keys))
+        stack = np.empty((slots, r2, r2))
+        cores, stacked = {}, []
+        for a, beta in keys:
+            if a / beta not in cores:
+                H = self._factor(a / beta)
+                cores[a / beta] = H.T @ H
+                del H  # not alive beside M
+            w = np.power(self.mu, (1.0 - a) / (2.0 * beta))
+            M = np.multiply(w[:, None], w, out=stack[len(stacked)])
+            M *= cores[a / beta]
+            # test M's entries, not tr(M): tr(M) can overflow where tr(M^beta) does not
+            scale = max(float(M.max()), -float(M.min())) if M.size else 0.0
+            if not math.isfinite(scale):
+                self._sandwiches[a, beta] = scale, 0
+            elif _by_products(beta):
+                k = int(beta)
+                P = np.linalg.matrix_power(M, k // 2)
+                Q = P if k % 2 == 0 else (self._factor(a / beta) * w) @ P
+                self._sandwiches[a, beta] = float(np.vdot(Q, Q)), 0
+            else:
+                stacked.append((a, beta))  # M keeps its slot
+        cores.clear()  # not alive beside the decomposition
+        if stacked:
+            eigs = sym_eigvals(stack[: len(stacked)], self.n)
+            for (a, beta), eig in zip(stacked, eigs):
+                self._sandwiches[a, beta] = eig.power_sum(beta), eig.clamp_count
+
+    def _factor(self, inner):
+        """diag(lambda^(inner/2)) O_block, with inner = a/beta."""
+        return np.power(self.lam, inner / 2.0)[:, None] * self.block
+
+    def values(self, orders=(), keys=()):
+        """The nonmirrored value at each of ``orders`` and the mirrored value
+        at each (a, beta) of ``keys``, as two float arrays. Every value is +inf
+        when supp K1 is not inside supp K2 (the support gate); else a value is
+        (a-1)^-1 [log t - log tr(K1)] for its trace t, and a t outside (0, inf)
+        is a NumericalDegeneracyError. Under the unit-trace contract log tr(K1)
+        is 0, not computed as log(1 + eps)."""
+        if not self.support.included:
+            return np.full(len(orders), math.inf), np.full(len(keys), math.inf)
+        non, mir = self.traces(orders, keys)
+        return (
+            self._values("nonmirrored", orders, non, repeat(0)),
+            self._values("mirrored", [a for a, _ in keys], mir,
+                         [self._sandwiches[k][1] for k in keys]),
+        )
+
+    def _values(self, name, orders, traces, clamps):
+        """(a-1)^-1 [log t - log tr(K1)] for each order a and its trace t."""
+        values = []
+        for a, t, clamped in zip(orders, traces.tolist(), clamps):
+            log_t = _log_trace(name, t, self.clamp_count + clamped, a)
+            log_tr1 = math.log(_positive_trace(self.tr1, "K1")) if self.raw else 0.0
+            values.append((log_t - log_tr1) / (a - 1.0))
+        return np.array(values)
 
     def mirrored_trace(self, a, beta):
-        """tr(M^beta) and M's clamp count, once per (a, beta); an overflow leaves inf or NaN."""
-        if (a, beta) not in self._sandwiches:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._sandwiches[a, beta] = self._sandwich_trace(a, beta)
+        """tr(M^beta) and M's clamp count, once per (a, beta)."""
+        self.traces((), [(a, beta)])
         return self._sandwiches[a, beta]
-
-    def _sandwich_trace(self, a, beta):
-        """tr(M^beta) for M = K2^((1-a)/2beta) K1^(a/beta) K2^((1-a)/2beta).
-
-        In K2's eigenbasis M = B^T B with B = diag(lambda^(a/2beta)) O
-        diag(mu^((1-a)/2beta)) on the supports and 0 off them: M stays n x n,
-        so its clamp threshold and count are the full sandwich's. Returns the
-        power sum and M's clamp count. At an integer beta = k <= PRODUCT_ORDER_MAX
-        no spectrum of M is taken, so none are clamped: with P = M^(k//2),
-        tr(M^k) is ||P||_F^2 for even k and ||B P||_F^2 for odd k.
-        """
-        outer, inner = (1.0 - a) / (2.0 * beta), a / beta
-        B = np.zeros_like(self.overlap)
-        block = B[: self.lam.size, : self.mu.size]
-        np.multiply(np.power(self.lam, inner / 2.0)[:, None], self.block, out=block)
-        block *= np.power(self.mu, outer)
-        M = B.T @ B
-        # test M's entries, not tr(M): tr(M) can overflow where tr(M^beta) does not
-        scale = max(float(M.max()), -float(M.min()))
-        if not math.isfinite(scale):
-            return scale, 0
-        k = int(beta)
-        if k != beta or k > PRODUCT_ORDER_MAX:
-            eig = sym_eig(M, vectors=False)
-            return eig.power_sum(beta), eig.clamp_count
-        P = np.linalg.matrix_power(M, k // 2)
-        Q = P if k % 2 == 0 else B @ P
-        return float(np.sum(Q * Q)), 0
-
-    def _value(self, a, measure, name=None):
-        """The result at order ``a``: +inf when supp K1 is not inside supp K2,
-        else the value ``measure()`` returns with its clamp count; either
-        carries the pair's clamp count. With a ``name``, ``measure()`` returns
-        a trace t and the value is (a-1)^-1 [log t - log tr(K1)]; under the
-        unit-trace contract log tr(K1) is 0, not computed as log(1 + eps)."""
-        if not self.support.included:
-            return CrossEntropyResult(math.inf, a, self.support, self.clamp_count)
-        value, clamped = measure()
-        clamp_count = self.clamp_count + clamped
-        if name is not None:
-            log_t = _log_trace(name, value, clamp_count)
-            log_tr1 = math.log(_positive_trace(self.tr1, "K1")) if self.raw else 0.0
-            value = (log_t - log_tr1) / (a - 1.0)
-        return CrossEntropyResult(value, a, self.support, clamp_count)
-
-    def measures(self, a):
-        """The nonmirrored and the one-parameter mirrored value at order ``a``."""
-        return self.nonmirrored(a).value, self.mirrored(a, a).value
 
     def nonmirrored(self, alpha):
         """The nonmirrored measure at ``alpha``; +inf when supp K1 is not inside supp K2."""
         a = _order(alpha)
-        return self._value(a, lambda: (self.nonmirrored_trace(a), 0), "nonmirrored")
+        (value,), _ = self.values([a])
+        return CrossEntropyResult(float(value), a, self.support, self.clamp_count)
 
     def mirrored(self, alpha, beta):
         """The two-parameter mirrored measure; beta = alpha is the one-parameter one."""
         a = _order(alpha)
-        return self._value(a, lambda: self.mirrored_trace(a, beta), "mirrored")
+        _, (value,) = self.values((), [(a, beta)])
+        clamped = self._sandwiches[a, beta][1] if self.support.included else 0
+        return CrossEntropyResult(float(value), a, self.support, self.clamp_count + clamped)
 
     def umegaki(self):
-        """The order-1 limit tr(K1 (log K1 - log K2)) / tr(K1)."""
-
-        def measure():
+        """The order-1 limit tr(K1 (log K1 - log K2)) / tr(K1); +inf, as in
+        ``values``, when supp K1 is not inside supp K2."""
+        value = math.inf
+        if self.support.included:
             # a rank-0 K1 (forced by an included rank-0 K2) has a nonpositive trace
             tr1 = _positive_trace(self.tr1, "K1")
             # tr(K1 log K1) - tr(K1 log K2) = lambda . (log lambda - (O o O) . log mu),
             # on the supports: a clamped eigenvalue of K1 counts as zero
             cross = (self.block * self.block) @ np.log(self.mu)
-            return float(self.lam @ (np.log(self.lam) - cross)) / tr1, 0
-
-        return self._value(1.0, measure)
+            value = float(self.lam @ (np.log(self.lam) - cross)) / tr1
+        return CrossEntropyResult(value, 1.0, self.support, self.clamp_count)
 
 
 def _gram_pair(K1, K2, raw=False):
@@ -310,7 +366,7 @@ class _Triple:
             return CrossEntropyResult(sentinel, a, degenerate=DEGENERATE_ZERO_CIP)
         # the spectrum of nt(K1) is K1's divided by its trace
         s = self.e1.power_sum(a, _positive_trace(self.K1.trace(), "K1"))
-        entropy_term = _log_trace("tripartite", s, self.e1.clamp_count) / (a - 1.0)
+        entropy_term = _log_trace("tripartite", s, self.e1.clamp_count, a) / (a - 1.0)
         value = math.log(self.cip) / (a - 1.0) + entropy_term
         return CrossEntropyResult(
             value=value,
@@ -345,7 +401,7 @@ def matrix_renyi_entropy(K, alpha):
     a = _order(alpha)
     _check_trace_contract(K, "K", raw=False)
     eig = sym_eig(K, vectors=False)
-    return _log_trace("entropy", eig.power_sum(a), eig.clamp_count) / (1.0 - a)
+    return _log_trace("entropy", eig.power_sum(a), eig.clamp_count, a) / (1.0 - a)
 
 
 def joint_entropy(K1, K2, alpha):

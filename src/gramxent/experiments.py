@@ -26,6 +26,7 @@ import json
 import sys
 import typing
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -233,30 +234,35 @@ def _check_unread(config, *names):
             raise ArgumentError(f"{config.experiment} does not use {name}; leave it unset")
 
 
-def _cell_rows(experiment, family, parameter, n, m, d, r, alpha_grid, measures):
-    """The rows of one cell at every order, ``measures(a)`` giving its (measure,
-    value) pairs at order a; a collapsed trace propagates with the cell named."""
-    rows = []
-    for a in alpha_grid:
-        try:
-            rows += [
-                ResultRow(experiment, family, float(a), float(parameter), *measured, n, m, d, r)
-                for measured in measures(a)
-            ]
-        except NumericalDegeneracyError as exc:
-            cell = f"kernel {family}, order {_fmt(a)}, parameter {_fmt(parameter)}, replicate {r}"
-            exc.args = (f"{experiment} ({cell}): {exc}",)
-            raise
-    return rows
+def _cell_rows(experiment, family, parameter, n, m, d, r, measured):
+    """The rows of one cell, ``measured()`` giving its (order, measure, value)
+    triples; a collapsed trace propagates with the cell and its order named."""
+    try:
+        return [
+            ResultRow(experiment, family, float(a), float(parameter), measure, value, n, m, d, r)
+            for a, measure, value in measured()
+        ]
+    except NumericalDegeneracyError as exc:
+        order, param = _fmt(exc.order), _fmt(parameter)
+        cell = f"kernel {family}, order {order}, parameter {param}, replicate {r}"
+        exc.args = (f"{experiment} ({cell}): {exc}",)
+        raise
 
 
 def _bipartite_rows(experiment, family, pair, parameter, d, r, alpha_grid):
-    """Nonmirrored and mirrored rows of one decomposed ``_Pair`` at every order; a
-    runner builds the pair in the call, so no two draws' pairs are alive at once."""
-    return _cell_rows(
-        experiment, family, parameter, pair.n, pair.n, d, r, alpha_grid,
-        lambda a: zip((MEASURE_NONMIRRORED, MEASURE_MIRRORED), pair.measures(a)),
-    )
+    """Nonmirrored and mirrored rows of one decomposed ``_Pair`` at every order,
+    read in one batch; a runner builds the pair in the call, so no two draws'
+    pairs are alive at once."""
+    alphas = [float(a) for a in alpha_grid]
+
+    def measured():
+        non, mir = pair.values(alphas, [(a, a) for a in alphas])
+        return [
+            *zip(alphas, repeat(MEASURE_NONMIRRORED), non.tolist()),
+            *zip(alphas, repeat(MEASURE_MIRRORED), mir.tolist()),
+        ]
+
+    return _cell_rows(experiment, family, parameter, pair.n, pair.n, d, r, measured)
 
 
 def _unit_spectrum(spec, S):
@@ -379,8 +385,8 @@ def run_tripartite(config):
                 Y = SampleSet(builder(base, float(p), config))
                 triple = _Triple(K1, gram_cross(spec, X, Y), gram_univariate(spec, Y), e1)
                 rows += _cell_rows(
-                    "tripartite", spec.family, p, n, m, d, r, config.alpha_grid,
-                    lambda a: [(measure, triple.result(a).value)],
+                    "tripartite", spec.family, p, n, m, d, r,
+                    lambda: [(a, measure, triple.result(a).value) for a in config.alpha_grid],
                 )
     return sorted(rows, key=ResultRow.key)
 

@@ -1,10 +1,11 @@
 """Spectral primitives for PSD matrices.
 
 Everything funnels through one symmetric eigendecomposition, ``sym_eig``,
-the only caller of numpy's ``eigh`` / ``eigvalsh``. The decomposition
-carries its numerical support as a rank: the spectrum is sorted descending,
-so the support is its leading ``rank`` eigenvalues, those above the relative
-clamp threshold tau = n * eps * lambda_max; eigenvalues at or below tau count
+and its stacked form ``sym_eigvals``, the only callers of numpy's ``eigh`` /
+``eigvalsh``. The decomposition carries its numerical support as a rank: the
+spectrum is sorted descending, so the support is its leading ``rank``
+eigenvalues, those above the relative clamp threshold
+tau = n * eps * lambda_max; eigenvalues at or below tau count
 as zero-rank directions. Off-support values follow the pseudo-inverse
 convention (f(lambda) = 0 for both positive and negative powers), which keeps
 all spectral functions support-restricted.
@@ -87,17 +88,31 @@ def _check_finite(A):
     return scale
 
 
-def _check_symmetric(A):
+def _check_symmetric(A, ndim=2):
     """Reject, in this order, an array with a non-finite entry, one that is not
-    square, and one whose asymmetry exceeds n * SYMMETRY_RTOL * max|A|; an
-    exactly symmetric array skips the tolerance test."""
+    a square matrix (``ndim`` 2) or a stack of them (``ndim`` 3), and one whose
+    asymmetry exceeds n * SYMMETRY_RTOL * max|A|, max|A| taken over the whole
+    array; an exactly symmetric array skips the tolerance test."""
     scale = _check_finite(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
         raise ArgumentError(f"expected a square matrix, got shape {A.shape}")
-    if not np.array_equal(A, A.T) and (
-        float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * scale * A.shape[0]
+    T = np.swapaxes(A, -1, -2)
+    if not np.array_equal(A, T) and (
+        float(np.max(np.abs(A - T))) > SYMMETRY_RTOL * scale * A.shape[-1]
     ):
         raise ArgumentError("matrix is not symmetric within tolerance")
+
+
+def _lapack(routine, A):
+    try:
+        return routine(A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise DegenerateMatrixError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _decomposition(w, V=None):
+    """The decomposition of the descending spectrum w and its aligned vectors V."""
+    return EigenDecomposition(w, V, int(np.count_nonzero(w > clamp_threshold(w))))
 
 
 def sym_eig(G, vectors=True):
@@ -110,18 +125,28 @@ def sym_eig(G, vectors=True):
     """
     A = _as_array(G)
     _check_symmetric(A)
-    V = None
-    try:
-        if vectors:
-            w, V = np.linalg.eigh(A)
-            V = V[:, ::-1].copy()
-        else:
-            w = np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise DegenerateMatrixError(f"eigendecomposition failed: {exc}") from exc
-    w = w[::-1].copy()
-    rank = int(np.count_nonzero(w > clamp_threshold(w)))
-    return EigenDecomposition(eigenvalues=w, eigenvectors=V, rank=rank)
+    if not vectors:
+        return _decomposition(_lapack(np.linalg.eigvalsh, A)[::-1].copy())
+    w, V = _lapack(np.linalg.eigh, A)
+    return _decomposition(w[::-1].copy(), V[:, ::-1].copy())
+
+
+def sym_eigvals(S, n):
+    """The spectra of the n x n matrices that are zero off their leading
+    blocks S[i], a stack of symmetric m x m blocks (m <= n).
+
+    One ``eigvalsh`` decomposes the whole stack, after one finiteness and
+    symmetry check of it. Each spectrum is its block's eigenvalues, sorted
+    descending, with n - m zeros after the positive ones, so its clamp
+    threshold and count are those of the n x n matrix.
+    """
+    _check_symmetric(S, ndim=3)
+    zeros = np.zeros(n - S.shape[-1])
+    spectra = []
+    for w in _lapack(np.linalg.eigvalsh, S)[:, ::-1]:
+        positive = int(np.count_nonzero(w > 0))
+        spectra.append(_decomposition(np.concatenate((w[:positive], zeros, w[positive:]))))
+    return spectra
 
 
 def clamp_threshold(eigenvalues):

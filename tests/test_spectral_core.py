@@ -93,22 +93,29 @@ def _calls():
 
 @pytest.mark.parametrize("label", sorted(_calls()))
 def test_each_gram_matrix_is_decomposed_once(label, monkeypatch):
-    """numpy eigh + eigvalsh calls per public call: one per matrix whose
-    spectrum the value needs (plus one for a mirrored sandwich at a
-    non-integer beta)."""
+    """Matrices numpy's eigh and eigvalsh decompose per public call: one per
+    matrix whose spectrum the value needs (plus one for a mirrored sandwich
+    at a non-integer beta)."""
     call, expected = _calls()[label]
     counts = _count_decompositions(monkeypatch, call)
     assert counts["eigh"] + counts["eigvalsh"] == expected, counts
 
 
+def _matrices(A):
+    """The matrices of one eigh or eigvalsh input: A itself, or each slice of a stack."""
+    A = np.asarray(A)
+    return A.reshape(-1, *A.shape[-2:]) if A.ndim > 2 else [A]
+
+
 def _on_decompositions(monkeypatch, record):
     """Wrap numpy's eigh and eigvalsh so that each call first runs
-    record(name, matrix)."""
+    record(name, matrix) for each matrix it decomposes, each slice of a stack."""
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def wrapped(A, *args, _name=name, _original=original, **kwargs):
-            record(_name, A)
+            for M in _matrices(A):
+                record(_name, M)
             return _original(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapped)
@@ -147,9 +154,9 @@ def test_property_suite_decomposes_each_pair_once(monkeypatch):
     the seed that makes 2 + 10 + 7 = 19 eigh. The tripartite triple reads
     K1's spectrum off the base pair, scaled by tr(G1), and the scaled triple
     reads it off the scaled pair; neither adds one. A mirrored value
-    or sandwich adds one eigvalsh the first time its pair is asked for it at a
-    non-integer (a, beta), and none at an integer beta, whose trace is read
-    off matrix products."""
+    or sandwich adds one matrix to its batch's stacked eigvalsh the first
+    time its pair is asked for it at a non-integer (a, beta), and none at an
+    integer beta, whose trace is read off matrix products."""
     counts = _count_decompositions(
         monkeypatch, lambda: run_property_suite(n_seeds=1, sizes=(4,))
     )
@@ -255,13 +262,12 @@ def test_sweep_runner_decomposes_the_red_gram_once_per_replicate(label, expected
 
 def _decomposed_inputs(monkeypatch, call):
     """A digest of the dtype, shape and bytes of every matrix handed to numpy's
-    eigh or eigvalsh during call()."""
+    eigh or eigvalsh during call(), each slice of a stack on its own."""
     digests = []
 
-    def recorded(name, A):
-        B = np.asarray(A)
-        head = f"{B.dtype}{B.shape}".encode()
-        digests.append(hashlib.sha256(head + B.tobytes()).hexdigest())
+    def recorded(name, M):
+        head = f"{M.dtype}{M.shape}".encode()
+        digests.append(hashlib.sha256(head + np.ascontiguousarray(M).tobytes()).hexdigest())
 
     _on_decompositions(monkeypatch, recorded)
     call()
@@ -292,8 +298,8 @@ def test_one_gram_is_alive_per_decomposition(label, monkeypatch):
         init(self, *args, **kwargs)
         made.append(weakref.ref(self))
 
-    def count_live(name, A):
-        n = np.shape(A)[0]
+    def count_live(name, M):
+        n = M.shape[0]
         live.append(sum(G is not None and G.n == n for G in (ref() for ref in made)))
 
     monkeypatch.setattr(GramMatrix, "__init__", tracked)
@@ -518,8 +524,9 @@ def test_support_reports_match_support_included(label, K1, K2):
 # ------------------------------------------------- integer-order sandwiches
 
 def _sandwich(pair, a, beta):
-    """M = B^T B of _Pair.mirrored_trace, built here from the pair's spectra
-    and overlap, powers on the supports and B zero off them."""
+    """The n x n sandwich M = B^T B whose power sum _Pair.mirrored_trace
+    reads, built here from the pair's spectra and overlap, powers on the
+    supports and B zero off them."""
     r1, r2 = pair.lam.size, pair.mu.size
     B = np.zeros_like(pair.overlap)
     B[:r1, :r2] = (
@@ -556,21 +563,47 @@ def test_integer_beta_trace_is_the_sandwich_power_sum(label, K1, K2, raw, a, k):
 @pytest.mark.parametrize(
     "label,K1,K2,raw", _trace_pairs(), ids=[p[0] for p in _trace_pairs()]
 )
+def test_a_value_does_not_depend_on_its_batch(label, K1, K2, raw):
+    """One batch reads both measures and the two-parameter mirrored measure
+    at beta = max(a, 1 - a) at six orders; each value has the bits of its
+    order read alone on a fresh pair and of the public estimator."""
+    orders = [0.3, 0.5, 0.7, 1.5, 2.0, 4.0]
+    keys = [(a, a) for a in orders] + [(a, max(a, 1.0 - a)) for a in orders]
+    non, mir = _pair_of(K1, K2, raw).values(orders, keys)
+    alone = [_pair_of(K1, K2, raw).nonmirrored(a).value for a in orders]
+    alone += [_pair_of(K1, K2, raw).mirrored(a, beta).value for a, beta in keys]
+    public = [nonmirrored_cross_entropy(K1, K2, a, raw=raw).value for a in orders]
+    public += [mirrored_cross_entropy(K1, K2, a, raw=raw).value for a in orders]
+    public += [
+        mirrored_cross_entropy_two_param(K1, K2, a, beta, raw=raw).value
+        for a, beta in keys[len(orders):]
+    ]
+    batched = [float(v).hex() for v in (*non, *mir)]
+    assert batched == [v.hex() for v in alone]
+    assert batched == [v.hex() for v in public]
+
+
+@pytest.mark.parametrize(
+    "label,K1,K2,raw", _trace_pairs(), ids=[p[0] for p in _trace_pairs()]
+)
 def test_every_decomposed_sandwich_is_bitwise_symmetric(label, K1, K2, raw, monkeypatch):
-    """The sandwich M = B^T B that a non-integer beta hands to eigvalsh equals
-    its transpose bit for bit, so no tolerance ever decides its symmetry."""
+    """Each sandwich M = C o (w w^T) that a non-integer beta hands to eigvalsh
+    equals its transpose bit for bit, so no tolerance ever decides its
+    symmetry: one at a time, and as the slices of one batch's stack."""
     handed = []
     original = np.linalg.eigvalsh
 
     def recorded(A, *args, **kwargs):
-        handed.append(np.array_equal(A, A.T))
+        handed.extend(np.all(A == np.swapaxes(A, -1, -2), axis=(-1, -2)).ravel().tolist())
         return original(A, *args, **kwargs)
 
-    pair = _pair_of(K1, K2, raw)
+    keys = [(0.5, 0.5), (0.3, 0.75), (2.0, 2.5), (4.0, 17.0)]
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    for a, beta in ((0.5, 0.5), (0.3, 0.75), (2.0, 2.5), (4.0, 17.0)):
-        pair.mirrored_trace(a, beta)
-    assert handed == [True] * 4
+    pair = _pair_of(K1, K2, raw)
+    for key in keys:
+        pair.mirrored_trace(*key)
+    _pair_of(K1, K2, raw).traces((), keys)
+    assert handed == [True] * 8
 
 
 def test_overflowing_sandwich_raises_the_same_error_on_both_paths(monkeypatch):
